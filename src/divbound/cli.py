@@ -93,7 +93,7 @@ def _reference_estimate(fam: AdmissibleFamily, mode: Mode, params: TruncationPar
         keys.add(canonical_key(rooted_component(d, t)))
     S = float(value)
     W = float(mass)
-    M = fam.increment_bound(mode)
+    M = mode.increment_bound
     return SeriesEstimate(
         mode=mode,
         S=S,
@@ -117,7 +117,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         est = _reference_estimate(fam, mode, params)
     else:
         cache = BlockCache(_resolve_cache_path(args.cache))
-        est = evaluate(fam, mode, params, cache, threads=args.threads)
+        est = evaluate(fam, mode, params, cache)
     elapsed = time.perf_counter() - started
     payload = {
         "family": fam.name,
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--alpha", type=float, default=10.0, help="truncation exponent (default 10)")
     bound.add_argument("--budget", type=float, default=1e8, help="truncation budget B (default 1e8)")
     bound.add_argument("--cache", default=None, help="block cache file (TSV, append-only)")
-    bound.add_argument("--threads", type=int, default=1, help="worker threads for block solves")
+    bound.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     bound.add_argument("--format", choices=("json", "csv"), default="json")
     bound.add_argument(
         "--exact-reference",

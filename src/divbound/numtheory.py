@@ -146,56 +146,3 @@ def rooted_component(d: int, t: int) -> RootedComponent:
             k += 1
     elements = tuple(sorted(seen))
     return RootedComponent(elements, elements.index(d))
-
-
-class IntervalGraph:
-    """Divisor graph on {lo, ..., hi} with adjacency built by sieving multiples.
-
-    Every edge is stored oriented from divisor to multiple: `multiples[v]` holds the
-    multiples of v inside the range and `divisors[v]` the divisors of v inside it.
-    """
-
-    def __init__(self, lo: int, hi: int, multiples: dict[int, tuple[int, ...]], divisors: dict[int, tuple[int, ...]]):
-        self.lo = lo
-        self.hi = hi
-        self.multiples = multiples
-        self.divisors = divisors
-
-    @classmethod
-    def over_range(cls, lo: int, hi: int) -> "IntervalGraph":
-        if not 1 <= lo <= hi:
-            raise ValueError(f"need 1 <= lo <= hi, got lo={lo!r}, hi={hi!r}")
-        mult: dict[int, list[int]] = {v: [] for v in range(lo, hi + 1)}
-        divs: dict[int, list[int]] = {v: [] for v in range(lo, hi + 1)}
-        for u in range(lo, hi + 1):
-            for m in range(2 * u, hi + 1, u):
-                if m >= lo:
-                    mult[u].append(m)
-                    divs[m].append(u)
-        return cls(lo, hi, {v: tuple(e) for v, e in mult.items()}, {v: tuple(e) for v, e in divs.items()})
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.divisors[v] + self.multiples[v]
-
-    def component(self, v: int) -> tuple[int, ...]:
-        """Connected component of v, as a sorted tuple."""
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in self.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return tuple(sorted(seen))
-
-    def components(self) -> list[tuple[int, ...]]:
-        """All components, ordered by least element; they partition the range."""
-        out = []
-        seen: set[int] = set()
-        for v in range(self.lo, self.hi + 1):
-            if v not in seen:
-                comp = self.component(v)
-                seen.update(comp)
-                out.append(comp)
-        return out

@@ -196,22 +196,9 @@ def _divisor_components(pool: tuple[int, ...]) -> dict[int, int]:
 
 
 def _has_divisor_cycle(pool: tuple[int, ...]) -> bool:
-    parent = {v: v for v in pool}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, a in enumerate(pool):
-        for b in pool[i + 1 :]:
-            if b % a == 0:
-                ra, rb = find(a), find(b)
-                if ra == rb:
-                    return True
-                parent[ra] = rb
-    return False
+    """A graph is a forest exactly when it has (vertices - components) edges."""
+    edges = sum(1 for i, a in enumerate(pool) for b in pool[i + 1 :] if b % a == 0)
+    return edges > len(pool) - len(set(_divisor_components(pool).values()))
 
 
 @dataclass(frozen=True)
@@ -236,16 +223,6 @@ class AdmissibleFamily:
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-    def increment_bound(self, mode) -> float:
-        """Uniform upper bound M on one root's local increment in the given mode."""
-        return mode.increment_bound
-
-    def is_admissible(self, S: Iterable[int]) -> bool:
-        return is_admissible(S, self)
-
-    def is_admissible_with(self, S: Iterable[int], x: int) -> bool:
-        return is_admissible_with(S, x, self)
 
 
 def is_admissible(S: Iterable[int], family: AdmissibleFamily) -> bool:

@@ -3,9 +3,10 @@ exact local increments, and emit a certified two-sided bound with a block cache.
 
 The truncation keeps triples with d * i**alpha <= budget_B, P+(d) <= i and
 t in [i*d, (i+1)*d). Within one (i, d) pair the rooted component of d in [d, t]
-can only change when t arrives at an element of the widest component, so the
-t-range is processed in constant-component segments whose weight sums telescope
-exactly. The per-triple stream is still exposed for small budgets and testing.
+can only change when t arrives at an element of the widest component, so
+plan_segments cuts the t-range into constant-component segments whose weight
+sums telescope exactly; evaluate and collect_blocks both consume that plan. The
+per-triple stream is still exposed for small budgets and testing.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from threading import Lock
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .numtheory import (
     CanonicalKey,
@@ -83,13 +83,8 @@ def euler_factor(i: int) -> float:
     return float(euler_factor_exact(i))
 
 
-def term_weight(i: int, d: int, t: int) -> float:
-    """Weight of one (i, d, t) triple: the Euler factor over t(t+1)."""
-    assert i * d <= t < (i + 1) * d, (i, d, t)
-    return euler_factor(i) / (t * (t + 1))
-
-
 def term_weight_exact(i: int, d: int, t: int) -> Fraction:
+    """Weight of one (i, d, t) triple: the Euler factor over t(t+1)."""
     assert i * d <= t < (i + 1) * d, (i, d, t)
     return euler_factor_exact(i) / (t * (t + 1))
 
@@ -243,33 +238,23 @@ class BlockCache:
         return len(self._records)
 
 
-def _segment_boundaries(d: int, t_lo: int, t_hi: int) -> list[int]:
-    """Start points of the maximal t-subranges on which the component of d is constant.
+def plan_segments(params: TruncationParams) -> Iterator[tuple[int, int, list[tuple[int, int, CanonicalKey]]]]:
+    """Yield (i, d, [(start, end, key), ...]) for every retained pair, in order.
 
-    The component C(d, t) is monotone in t and any change at t puts t itself inside
-    the new component, so changes can only happen when t reaches an element of the
-    widest component C(d, t_hi).
+    Each (start, end, key) covers the maximal t-subrange [start, end] of
+    [i*d, (i+1)*d - 1] on which the rooted component of d in [d, t] is constant,
+    with key its canonical form. The component C(d, t) is monotone in t and any
+    change at t puts t itself inside the new component, so changes can only
+    happen when t reaches an element of the widest component C(d, t_hi); the last
+    segment therefore has the widest component itself.
     """
-    widest = rooted_component(d, t_hi)
-    return [t_lo] + [v for v in widest.elements if t_lo < v <= t_hi]
-
-
-def _pair_contribution(i, d, fam, mode, cache, node_limit):
-    """Deterministic per-(i, d) data: float partial sum, keys touched, segment count."""
-    t_lo, t_hi = i * d, (i + 1) * d - 1
-    bounds = _segment_boundaries(d, t_lo, t_hi)
-    acc = 0.0
-    keys = []
-    for idx, start in enumerate(bounds):
-        end = bounds[idx + 1] - 1 if idx + 1 < len(bounds) else t_hi
-        comp = rooted_component(d, start)
-        rec = cache.lookup_or_solve(canonical_key(comp), fam, mode, node_limit=node_limit)
-        keys.append(rec.key)
-        inc = local_increment(rec, mode)
-        if inc:
-            # sum of 1/(t(t+1)) over [start, end], telescoped exactly
-            acc += inc * ((end + 1 - start) / (start * (end + 1)))
-    return acc * euler_factor(i), keys, len(bounds)
+    for i, d in retained_pairs(params):
+        t_lo, t_hi = i * d, (i + 1) * d - 1
+        widest = rooted_component(d, t_hi)
+        starts = [t_lo] + [v for v in widest.elements if t_lo < v <= t_hi]
+        ends = [s - 1 for s in starts[1:]] + [t_hi]
+        comps = [rooted_component(d, s) for s in starts[:-1]] + [widest]
+        yield i, d, [(s, e, canonical_key(c)) for s, e, c in zip(starts, ends, comps)]
 
 
 def evaluate(
@@ -285,43 +270,44 @@ def evaluate(
 
     The partial sum S is a lower bound for the full series value; the upper bound
     adds M times the unretained coefficient mass plus a float summation allowance.
-    Work is split over (i, d) pairs; each pair's contribution is a pure function of
-    the pair, and the final reduction runs sequentially in enumeration order, so the
-    result is bit-identical for every thread count.
+    Segments come from plan_segments; each pair's contribution is summed over its
+    segments and the reduction over pairs runs sequentially in enumeration order.
+    `threads` is accepted for compatibility and has no effect on the result.
     """
     if cache is None:
         cache = BlockCache(None)
-    pairs = list(retained_pairs(params))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda p: _pair_contribution(*p, fam, mode, cache, node_limit), pairs)
-            )
-    else:
-        results = [_pair_contribution(i, d, fam, mode, cache, node_limit) for i, d in pairs]
-
     seen: set[CanonicalKey] = set()
     s_sum = _Neumaier()
     w_sum = _Neumaier()
     magnitude = 0.0
     segments = 0
     terms = 0
-    for (i, d), (contrib, keys, n_segments) in zip(pairs, results):
+    id_pairs = 0
+    for i, d, segs in plan_segments(params):
+        acc = 0.0
+        for start, end, key in segs:
+            rec = cache.lookup_or_solve(key, fam, mode, node_limit=node_limit)
+            seen.add(key)
+            inc = local_increment(rec, mode)
+            if inc:
+                # sum of 1/(t(t+1)) over [start, end], telescoped exactly
+                acc += inc * ((end + 1 - start) / (start * (end + 1)))
+        contrib = acc * euler_factor(i)
         s_sum.add(contrib)
         w_sum.add(block_weight(i, d))
         magnitude += abs(contrib)
-        segments += n_segments
+        segments += len(segs)
         terms += d
-        seen.update(keys)
+        id_pairs += 1
 
     S = s_sum.total()
     W = w_sum.total()
     eps = sys.float_info.epsilon
     # allowance for every float add/multiply on the S path, scaled by the magnitude
-    slack = eps * (3 * segments + 4 * len(pairs)) * max(1.0, magnitude)
+    slack = eps * (3 * segments + 4 * id_pairs) * max(1.0, magnitude)
     if not 0.0 <= W <= 1.0 + slack:
         raise RuntimeError(f"retained mass {W} outside [0, 1]")
-    M = fam.increment_bound(mode)
+    M = mode.increment_bound
     upper = S + M * max(0.0, 1.0 - W) + slack
     return SeriesEstimate(
         mode=mode,
@@ -331,7 +317,7 @@ def evaluate(
         lower=S,
         upper=upper,
         blocks=len(seen),
-        id_pairs=len(pairs),
+        id_pairs=id_pairs,
         terms=terms,
         slack=slack,
     )
@@ -371,14 +357,9 @@ def collect_blocks(
         cache = BlockCache(None)
     weights: dict[CanonicalKey, float] = {}
     increments: dict[CanonicalKey, int | float] = {}
-    for i, d in retained_pairs(params):
-        t_lo, t_hi = i * d, (i + 1) * d - 1
-        bounds = _segment_boundaries(d, t_lo, t_hi)
-        for idx, start in enumerate(bounds):
-            end = bounds[idx + 1] - 1 if idx + 1 < len(bounds) else t_hi
-            comp = rooted_component(d, start)
-            rec = cache.lookup_or_solve(canonical_key(comp), fam, mode, node_limit=node_limit)
-            key = rec.key
+    for i, d, segs in plan_segments(params):
+        for start, end, key in segs:
+            rec = cache.lookup_or_solve(key, fam, mode, node_limit=node_limit)
             mass = euler_factor(i) * ((end + 1 - start) / (start * (end + 1)))
             weights[key] = weights.get(key, 0.0) + mass
             increments.setdefault(key, local_increment(rec, mode))

@@ -6,14 +6,24 @@ import sys
 
 import pytest
 
+import divbound
 from divbound.cli import main
 from divbound.solver import clear_caches
+
+# the directory this session imported divbound from, so child processes run the same code
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(divbound.__file__)))
 
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
     clear_caches()
     yield
+
+
+def child_env(**extra):
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    return env
 
 
 def run_main(capsys, *argv):
@@ -258,7 +268,7 @@ def test_missing_subcommand_exits_2():
 
 
 def test_console_entry_point_subprocess(tmp_path):
-    env = dict(os.environ, DIVBOUND_CACHE_DIR=str(tmp_path))
+    env = child_env(DIVBOUND_CACHE_DIR=str(tmp_path))
     proc = subprocess.run(
         [sys.executable, "-m", "divbound.cli", "bound", "--family", "two-fork",
          "--budget", "1e3"],
@@ -272,7 +282,7 @@ def test_console_entry_point_subprocess(tmp_path):
 
 
 def test_env_node_limit_subprocess():
-    env = dict(os.environ, DIVBOUND_NODE_LIMIT="1")
+    env = child_env(DIVBOUND_NODE_LIMIT="1")
     proc = subprocess.run(
         [sys.executable, "-m", "divbound.cli", "bound", "--family", "two-fork",
          "--budget", "1e8"],

@@ -5,7 +5,6 @@ import pytest
 
 from divbound.numtheory import (
     CanonicalKey,
-    IntervalGraph,
     RootedComponent,
     canonical_key,
     divisor_connected_component,
@@ -139,28 +138,8 @@ def test_rooted_component_validates():
         RootedComponent((2, 4), 5)
 
 
-def test_interval_graph_components_partition_range():
-    for lo, hi in ((1, 1), (1, 20), (7, 40), (13, 13)):
-        graph = IntervalGraph.over_range(lo, hi)
-        comps = graph.components()
-        flat = sorted(v for comp in comps for v in comp)
-        assert flat == list(range(lo, hi + 1))
-        for comp in comps:
-            assert min(comp) == comp[0]
-
-
-def test_interval_graph_neighbors_are_divisor_pairs():
-    graph = IntervalGraph.over_range(2, 24)
-    for v in range(2, 25):
-        for u in graph.neighbors(v):
-            assert u != v and (u % v == 0 or v % u == 0)
-        brute = [u for u in range(2, 25) if u != v and (u % v == 0 or v % u == 0)]
-        assert sorted(graph.neighbors(v)) == brute
-
-
-def test_interval_graph_component_matches_rooted_component():
-    graph = IntervalGraph.over_range(3, 50)
-    assert set(graph.component(3)) == set(rooted_component(3, 50).elements)
+def test_divisor_connected_component_matches_rooted_component():
+    assert set(divisor_connected_component(range(3, 51), 3)) == set(rooted_component(3, 50).elements)
 
 
 def test_canonical_key_hashable_and_distinct():

@@ -115,6 +115,8 @@ def test_is_admissible_examples():
     forest = builtin_family("forest")
     assert not is_admissible({2, 3, 5, 6, 15, 10}, forest)
     assert is_admissible({2, 3, 5, 6, 15}, forest)
+    assert not is_admissible({1, 2, 4}, forest)  # triangle
+    assert is_admissible({1, 2, 3}, forest)  # star
 
 
 def test_is_admissible_with_examples():

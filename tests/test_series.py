@@ -19,7 +19,6 @@ from divbound.series import (
     euler_factor_exact,
     evaluate,
     retained_pairs,
-    term_weight,
     term_weight_exact,
 )
 from divbound.solver import COUNTING, DENSITY, ResourceLimitError, clear_caches, partition_mode
@@ -55,7 +54,6 @@ def test_euler_factor_values():
 
 
 def test_term_weight_examples():
-    assert term_weight(1, 1, 1) == pytest.approx(0.5, abs=0)
     assert term_weight_exact(1, 1, 1) == Fraction(1, 2)
     assert term_weight_exact(2, 1, 2) == Fraction(1, 12)
     assert term_weight_exact(2, 2, 4) == Fraction(1, 40)
@@ -338,3 +336,22 @@ def test_series_estimate_is_frozen():
     assert isinstance(est, SeriesEstimate)
     with pytest.raises(AttributeError):
         est.S = 0.0
+
+
+def test_each_block_is_solved_once(monkeypatch):
+    import divbound.series as series
+
+    clear_caches()
+    calls = 0
+    solve = series.solve_block
+
+    def counting_solve(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(series, "solve_block", counting_solve)
+    cache = BlockCache(None)
+    # at B=1e8 (29 blocks) a thread pool racing on shared keys solved some twice
+    est = evaluate(TWO_FORK, COUNTING, TruncationParams(10.0, 1e8), cache, threads=4)
+    assert calls == cache.misses == est.blocks

@@ -228,9 +228,9 @@ def test_mode_tags_and_bounds():
     assert DENSITY.tag == "density"
     assert COUNTING.tag == "counting"
     assert partition_mode(2).tag == "partition:2"
-    assert TWO_FORK.increment_bound(DENSITY) == 1.0
-    assert TWO_FORK.increment_bound(COUNTING) == pytest.approx(math.log(2))
-    assert TWO_FORK.increment_bound(partition_mode(3)) == pytest.approx(math.log(4))
+    assert DENSITY.increment_bound == 1.0
+    assert COUNTING.increment_bound == pytest.approx(math.log(2))
+    assert partition_mode(3).increment_bound == pytest.approx(math.log(4))
 
 
 def test_mode_validation():
