@@ -136,8 +136,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "elapsed_seconds": elapsed,
     }
     if args.mode == "beta":
-        payload["exp_lower"] = math.exp(est.lower)
-        payload["exp_upper"] = math.exp(est.upper)
+        # libm's exp is within one ulp of e**x, so one step outward encloses it
+        payload["exp_lower"] = math.nextafter(math.exp(est.lower), 0.0)
+        payload["exp_upper"] = math.nextafter(math.exp(est.upper), math.inf)
     _emit(payload, args.format)
     return 0
 

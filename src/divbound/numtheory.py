@@ -98,6 +98,15 @@ class RootedComponent:
         if len(divisor_connected_component(elems, elems[0])) != len(elems):
             raise ValueError("the divisor graph on the elements is not connected")
 
+    @classmethod
+    def _connected(cls, elements: tuple[int, ...], root_index: int) -> RootedComponent:
+        """Build without validation, for sorted elements already known to be
+        divisor-connected; skips the O(n^2) connectivity check of the constructor."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "root_index", root_index)
+        return self
+
     @property
     def root(self) -> int:
         return self.elements[self.root_index]
@@ -144,5 +153,6 @@ def rooted_component(d: int, t: int) -> RootedComponent:
                     seen.add(u)
                     stack.append(u)
             k += 1
+    # connected by construction: every element was reached from d along divisor edges
     elements = tuple(sorted(seen))
-    return RootedComponent(elements, elements.index(d))
+    return RootedComponent._connected(elements, elements.index(d))

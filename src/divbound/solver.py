@@ -1,9 +1,9 @@
-"""Exact solvers on finite integer sets: maximum admissible subset size, admissible
-subset counts, partition functions, and per-component increment records.
+"""Exact solvers on finite integer sets: the admissible-subset size polynomial, and
+from it maximum sizes (its degree), counts (its value at 1), partition functions
+(its value at z) and per-component increment records.
 
-All values are exact (machine integers, arbitrary-precision integers, rationals when
-the pressure is rational). No floating-point error can enter an increment; floats
-appear only when taking logarithms of exact ratios.
+All values are exact integers, or rationals when the pressure is rational; floats
+appear only for a float pressure and when taking logarithms of exact ratios.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from threading import Lock
 from typing import Iterable
 
@@ -140,7 +141,7 @@ def _split_components(rest: tuple[int, ...], chosen: tuple[int, ...]):
     return [groups[r] for r in sorted(groups, key=lambda r: union[r])]
 
 
-_MEMO: dict[tuple, dict] = {}
+_MEMO: dict[str, dict] = {}
 _MEMO_LOCK = Lock()
 
 
@@ -150,38 +151,51 @@ def clear_caches() -> None:
         _MEMO.clear()
 
 
-class _Search:
-    """Include/exclude recursion over (undecided, chosen) states.
+def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two size polynomials, each with a_0 = 1 (so length 1 means (1,))."""
+    if len(p) == 1:
+        return q
+    if len(q) == 1:
+        return p
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for k, b in enumerate(q, i):
+            out[k] += a * b
+    return tuple(out)
 
-    The chosen part is always admissible. States are memoized per family and value
-    kind after dividing each component by its gcd (dilation invariance). The memo is
-    insert-only and idempotent, so concurrent solvers may share it.
+
+def _evaluate(P: tuple[int, ...], z: Fraction | float) -> Fraction | float:
+    """P(z) by Horner's rule on the exact integer coefficients: exact for a Fraction z."""
+    acc = 0
+    for a in reversed(P):
+        acc = acc * z + a
+    return acc
+
+
+class _Search:
+    """Include/exclude recursion over (undecided, chosen) states, valued by the size
+    polynomial (a_0, ..., a_m): a_k counts the k-subsets A of the undecided part with
+    chosen+A admissible. The chosen part is always admissible.
+
+    States are memoized per family, shared by every mode, after dividing each
+    component by its gcd (dilation invariance). The memo is insert-only and
+    idempotent, so concurrent solvers may share it.
     """
 
-    __slots__ = ("family", "kind", "z", "memo", "nodes_left", "limit", "label")
+    __slots__ = ("family", "memo", "nodes_left", "limit", "label")
 
-    def __init__(self, family: AdmissibleFamily, kind: str, z, node_limit: int, label: str):
+    def __init__(self, family: AdmissibleFamily, node_limit: int, label: str):
         self.family = family
-        self.kind = kind
-        self.z = z
         self.limit = node_limit
         self.nodes_left = node_limit
         self.label = label
-        memo_key = (family.family_hash, kind, None if z is None else str(z))
         with _MEMO_LOCK:
-            self.memo = _MEMO.setdefault(memo_key, {})
+            self.memo = _MEMO.setdefault(family.family_hash, {})
 
-    def _unit(self):
-        if self.kind == "size":
-            return 0
-        if self.kind == "count":
-            return 1
-        return Fraction(1) if isinstance(self.z, Fraction) else 1.0
-
-    def value(self, rest: tuple[int, ...], chosen: tuple[int, ...]):
+    def value(self, rest: tuple[int, ...], chosen: tuple[int, ...]) -> tuple[int, ...]:
+        total = (1,)
         if not rest:
-            return self._unit()
-        total = self._unit()
+            return total
         for comp_rest, comp_chosen in _split_components(rest, chosen):
             if not comp_rest:
                 continue
@@ -191,13 +205,10 @@ class _Search:
             if val is None:
                 val = self._branch(key[0], key[1])
                 self.memo[key] = val
-            if self.kind == "size":
-                total += val
-            else:
-                total *= val
+            total = _mul(total, val)
         return total
 
-    def _branch(self, rest: tuple[int, ...], chosen: tuple[int, ...]):
+    def _branch(self, rest: tuple[int, ...], chosen: tuple[int, ...]) -> tuple[int, ...]:
         self.nodes_left -= 1
         if self.nodes_left < 0:
             raise ResourceLimitError(
@@ -212,33 +223,34 @@ class _Search:
                     degree[b] += 1
         x = max(rest, key=lambda v: (degree[v], -v))
         rest2 = tuple(v for v in rest if v != x)
-        result = self.value(rest2, chosen)
-        if is_admissible_with(chosen, x, self.family):
-            with_x = self.value(rest2, tuple(sorted(chosen + (x,))))
-            if self.kind == "size":
-                result = max(result, 1 + with_x)
-            elif self.kind == "count":
-                result += with_x
-            else:
-                result += self.z * with_x
-        return result
+        without = self.value(rest2, chosen)
+        if not is_admissible_with(chosen, x, self.family):
+            return without
+        # P_without(x) + x * P_with(x)
+        with_x = self.value(rest2, tuple(sorted(chosen + (x,))))
+        out = list(without) + [0] * (len(with_x) + 1 - len(without))
+        for k, b in enumerate(with_x, 1):
+            out[k] += b
+        return tuple(out)
 
 
-def _solve(S: Iterable[int], family: AdmissibleFamily, kind: str, z, node_limit: int | None):
+def size_polynomial(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int | None = None) -> tuple[int, ...]:
+    """Exact coefficients (a_0, ..., a_m) of P(x) = sum of a_k x**k, where a_k counts the
+    admissible k-subsets of S; a_0 = 1 (the empty set) and a_m > 0 (m is the largest size).
+    """
     elements = _validated_elements(S)
-    label = f"{family.name} ({kind}) on {len(elements)} elements"
-    search = _Search(family, kind, z, _resolve_limit(node_limit), label)
-    return search.value(elements, ())
+    label = f"{fam.name} on {len(elements)} elements"
+    return _Search(fam, _resolve_limit(node_limit), label).value(elements, ())
 
 
 def max_admissible_size(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int | None = None) -> int:
     """Largest cardinality of an admissible subset of S, exactly."""
-    return _solve(S, fam, "size", None, node_limit)
+    return len(size_polynomial(S, fam, node_limit=node_limit)) - 1
 
 
 def count_admissible(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int | None = None) -> int:
     """Number of admissible subsets of S (the empty set always counts)."""
-    return _solve(S, fam, "count", None, node_limit)
+    return sum(size_polynomial(S, fam, node_limit=node_limit))
 
 
 def partition_function(
@@ -250,8 +262,8 @@ def partition_function(
 ) -> Fraction | float:
     """Sum of z**|B| over admissible subsets B of S.
 
-    Exact rational when z is an int or Fraction; float arithmetic otherwise.
-    At z = 1 this equals count_admissible.
+    Exact rational when z is an int or Fraction; for a float z, the exact size
+    polynomial is evaluated in float arithmetic. At z = 1 this equals count_admissible.
     """
     if isinstance(z, int):
         z = Fraction(z)
@@ -259,7 +271,7 @@ def partition_function(
         raise ValueError(f"pressure must be positive and finite, got {z!r}")
     if isinstance(z, Fraction) and z <= 0:
         raise ValueError(f"pressure must be positive, got {z!r}")
-    return _solve(S, fam, "poly", z, node_limit)
+    return _evaluate(size_polynomial(S, fam, node_limit=node_limit), z)
 
 
 def solve_block(
@@ -271,45 +283,31 @@ def solve_block(
 ) -> BlockRecord:
     """Solve one rooted component in canonical form, returning the mode's value pair.
 
-    The component is normalized first, so scaled copies produce identical records.
-    Resource errors are re-raised with the canonical key attached.
+    The component is normalized first, so scaled copies produce identical records, and
+    a later solve in another mode is answered from the memo. Resource errors are
+    re-raised with the canonical key attached.
     """
     key = canonical_key(c)
     full = key.normalized_elements
     deleted = tuple(v for v in full if v != key.root_value)
     try:
-        if mode.kind == "density":
-            rec = BlockRecord(
-                key=key,
-                size_full=max_admissible_size(full, fam, node_limit=node_limit),
-                size_deleted=max_admissible_size(deleted, fam, node_limit=node_limit),
-            )
-            diff = rec.size_full - rec.size_deleted
-            if not 0 <= diff <= 1:
-                raise RuntimeError(f"size increment {diff} out of range for key {key}")
-        elif mode.kind == "counting":
-            rec = BlockRecord(
-                key=key,
-                count_full=count_admissible(full, fam, node_limit=node_limit),
-                count_deleted=count_admissible(deleted, fam, node_limit=node_limit),
-            )
-            if not 1 <= rec.count_deleted <= rec.count_full <= 2 * rec.count_deleted:
-                raise RuntimeError(f"count pair {rec.count_full}/{rec.count_deleted} out of range for key {key}")
-        else:
-            z = mode.pressure
-            zf = partition_function(full, fam, z, node_limit=node_limit)
-            zd = partition_function(deleted, fam, z, node_limit=node_limit)
-            rec = BlockRecord(key=key, partition_full=zf, partition_deleted=zd)
-            ceiling = (1 + z) * zd
-            if isinstance(zf, float):
-                ceiling *= 1.0 + 1e-12
-            if not zd <= zf <= ceiling:
-                raise RuntimeError(f"partition pair {zf}/{zd} out of range for key {key}")
+        pf = size_polynomial(full, fam, node_limit=node_limit)
+        pd = size_polynomial(deleted, fam, node_limit=node_limit)
     except ResourceLimitError as exc:
         raise ResourceLimitError(
             f"{exc} [component {','.join(map(str, full))} root {key.root_value}]", key=key
         ) from None
-    return rec
+    # Admissible k-subsets holding the root lose it to admissible (k-1)-subsets, so
+    # 0 <= full_k - deleted_k <= deleted_(k-1); this bounds every mode's increment.
+    shifted = zip_longest(pf, pd, (0,) + pd, fillvalue=0)
+    if not (pf[0] == pd[0] == 1 and all(0 <= f - d <= e for f, d, e in shifted)):
+        raise RuntimeError(f"size polynomials {pf}/{pd} out of range for key {key}")
+    if mode.kind == "density":
+        return BlockRecord(key=key, size_full=len(pf) - 1, size_deleted=len(pd) - 1)
+    if mode.kind == "counting":
+        return BlockRecord(key=key, count_full=sum(pf), count_deleted=sum(pd))
+    z = mode.pressure
+    return BlockRecord(key=key, partition_full=_evaluate(pf, z), partition_deleted=_evaluate(pd, z))
 
 
 def local_increment(rec: BlockRecord, mode: Mode) -> int | float:

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import os
@@ -63,6 +64,20 @@ def test_bound_beta_reports_exponentials(capsys):
     assert doc["exp_lower"] == pytest.approx(math.sqrt(2), rel=1e-12)
     assert doc["exp_upper"] == pytest.approx(math.exp(doc["upper"]), rel=1e-12)
     assert doc["M"] == pytest.approx(math.log(2), rel=1e-15)
+
+
+@pytest.mark.parametrize("budget", ["1e4", "1e5"])
+def test_bound_beta_exponentials_round_outward(capsys, budget):
+    # at 1e4 exp rounded to nearest lands above e**lower, at 1e5 below e**upper
+    code, out, _ = run_main(
+        capsys, "bound", "--family", "two-fork", "--mode", "beta", "--budget", budget,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        assert decimal.Decimal(doc["exp_lower"]) <= decimal.Decimal(doc["lower"]).exp()
+        assert decimal.Decimal(doc["exp_upper"]) >= decimal.Decimal(doc["upper"]).exp()
 
 
 def test_bound_pressure_mode(capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from divbound import numtheory
 from divbound.numtheory import (
     CanonicalKey,
     RootedComponent,
@@ -136,6 +137,22 @@ def test_rooted_component_validates():
         RootedComponent((2, 5), 0)  # disconnected pair
     with pytest.raises((ValueError, IndexError)):
         RootedComponent((2, 4), 5)
+
+
+def test_rooted_component_skips_connectivity_recheck(monkeypatch):
+    calls = []
+    real = numtheory.divisor_connected_component
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(numtheory, "divisor_connected_component", counting)
+    comp = rooted_component(6, 97)
+    assert calls == []
+    # the public constructor still checks, and accepts the same component
+    assert RootedComponent(comp.elements, comp.root_index) == comp
+    assert len(calls) == 1
 
 
 def test_divisor_connected_component_matches_rooted_component():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from divbound.cli import _TELESCOPE_FAMILIES
 from divbound.oracle import (
     CROSS_MODE_CAP,
     EXHAUSTIVE_CAP,
@@ -21,6 +22,7 @@ from divbound.solver import (
     count_admissible,
     max_admissible_size,
     partition_function,
+    size_polynomial,
 )
 
 TWO_FORK = builtin_family("two-fork")
@@ -84,6 +86,16 @@ def test_size_counts_match_partition_polynomial():
             hist = brute_size_counts(n, fam)
             poly = sum(c * z ** k for k, c in enumerate(hist))
             assert poly == partition_function(range(1, n + 1), fam, z)
+
+
+def test_size_polynomial_matches_size_histogram():
+    for name in _TELESCOPE_FAMILIES:
+        fam = builtin_family(name)
+        for n in range(1, 15):
+            hist = brute_size_counts(n, fam)
+            while hist[-1] == 0:
+                hist.pop()
+            assert size_polynomial(range(1, n + 1), fam) == tuple(hist), (name, n)
 
 
 def test_oracle_agrees_with_solver_small_n():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from divbound import solver
 from divbound.numtheory import RootedComponent, divisor_connected_component, rooted_component
 from divbound.patterns import builtin_family, is_admissible
 from divbound.solver import (
@@ -214,6 +215,31 @@ def test_solve_block_resource_error_names_key():
         solve_block(comp, TWO_FORK, COUNTING, node_limit=2)
     assert info.value.key is not None
     assert "root 1" in str(info.value)
+    clear_caches()
+
+
+def test_one_search_serves_every_mode(monkeypatch):
+    clear_caches()
+    calls = []
+    real = solver.is_admissible_with
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "is_admissible_with", counting)
+    comp = rooted_component(1, 16)
+    density = solve_block(comp, TWO_FORK, DENSITY)
+    assert calls
+    searched = len(calls)
+    counting_rec = solve_block(comp, TWO_FORK, COUNTING)
+    partition = solve_block(comp, TWO_FORK, partition_mode(2))
+    assert len(calls) == searched
+    assert (density.size_full, counting_rec.count_full) == (
+        max_admissible_size(comp.elements, TWO_FORK),
+        count_admissible(comp.elements, TWO_FORK),
+    )
+    assert partition.partition_full == partition_function(comp.elements, TWO_FORK, 2)
     clear_caches()
 
 
