@@ -39,18 +39,25 @@ class TruncationParams:
     budget_B: float = 1e8
 
     def __post_init__(self) -> None:
-        if not self.alpha >= 1:
-            raise ValueError(f"alpha must be at least 1, got {self.alpha!r}")
-        if not self.budget_B >= 1:
-            raise ValueError(f"budget must be at least 1, got {self.budget_B!r}")
+        if not 1 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and at least 1, got {self.alpha!r}")
+        if not 1 <= self.budget_B < math.inf:
+            raise ValueError(f"budget must be finite and at least 1, got {self.budget_B!r}")
 
     def d_limit(self, i: int) -> int:
         """Largest d with d * i**alpha <= budget_B (0 when no d qualifies)."""
+        if i >= 2 and self.alpha * math.log2(i) > math.log2(self.budget_B) + 1:
+            # i**alpha exceeds the budget with a margin for log2 rounding; this skips
+            # building a power with up to alpha*log2(i) bits
+            return 0
         if float(self.alpha).is_integer():
             # exact integer path so boundary cases like d * 2**10 == 1024 are kept
             bound = Fraction(self.budget_B) / i ** int(self.alpha)
             return max(0, math.floor(bound))
-        return max(0, math.floor(self.budget_B / i ** self.alpha))
+        try:
+            return max(0, math.floor(self.budget_B / i ** self.alpha))
+        except OverflowError:  # i**alpha is above the largest float, so above budget_B
+            return 0
 
 
 @dataclass(frozen=True)

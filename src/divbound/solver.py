@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from threading import Lock
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .numtheory import CanonicalKey, RootedComponent, canonical_key
 from .patterns import AdmissibleFamily, is_admissible_with
@@ -47,8 +47,9 @@ class Mode:
         if self.kind not in ("density", "counting", "partition"):
             raise ValueError(f"unknown mode kind {self.kind!r}")
         if self.kind == "partition":
-            if self.pressure is None or not self.pressure > 0:
-                raise ValueError("partition mode needs a positive pressure")
+            # increment_bound takes log1p(float(pressure)), so it must fit in a float
+            if self.pressure is None or not 0 < self.pressure <= sys.float_info.max:
+                raise ValueError("partition mode needs a positive pressure that fits in a float")
         elif self.pressure is not None:
             raise ValueError(f"{self.kind} mode takes no pressure")
 
@@ -112,35 +113,6 @@ def _validated_elements(S: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _split_components(rest: tuple[int, ...], chosen: tuple[int, ...]):
-    """Partition rest+chosen by divisor-graph connectivity.
-
-    Admissibility of chosen+A factors over these components because every forbidden
-    structure is connected, so each component can be solved independently.
-    """
-    union = sorted(rest + chosen)
-    parent = list(range(len(union)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for j in range(len(union)):
-        for k in range(j):
-            if union[j] % union[k] == 0:
-                ra, rb = find(j), find(k)
-                if ra != rb:
-                    parent[ra] = rb
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    rest_set = set(rest)
-    for idx, v in enumerate(union):
-        bucket = groups.setdefault(find(idx), ([], []))
-        bucket[0 if v in rest_set else 1].append(v)
-    return [groups[r] for r in sorted(groups, key=lambda r: union[r])]
-
-
 _MEMO: dict[str, dict] = {}
 _MEMO_LOCK = Lock()
 
@@ -172,62 +144,85 @@ def _evaluate(P: tuple[int, ...], z: Fraction | float) -> Fraction | float:
     return acc
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class _Search:
     """Include/exclude recursion over (undecided, chosen) states, valued by the size
     polynomial (a_0, ..., a_m): a_k counts the k-subsets A of the undecided part with
     chosen+A admissible. The chosen part is always admissible.
 
-    States are memoized per family, shared by every mode, after dividing each
-    component by its gcd (dilation invariance). The memo is insert-only and
+    A state is a pair of bitmasks over the sorted elements, and adj[j] is the mask of
+    elements comparable to element j under divisibility, built once per search.
+    States are memoized per family, shared by every mode, by the values of each
+    component divided by its gcd (dilation invariance). The memo is insert-only and
     idempotent, so concurrent solvers may share it.
     """
 
-    __slots__ = ("family", "memo", "nodes_left", "limit", "label")
+    __slots__ = ("family", "memo", "nodes_left", "limit", "label", "elements", "adj")
 
-    def __init__(self, family: AdmissibleFamily, node_limit: int, label: str):
+    def __init__(self, family: AdmissibleFamily, elements: tuple[int, ...], node_limit: int, label: str):
         self.family = family
         self.limit = node_limit
         self.nodes_left = node_limit
         self.label = label
+        self.elements = elements
+        self.adj = adj = [0] * len(elements)
+        for j, a in enumerate(elements):
+            for k in range(j):
+                if a % elements[k] == 0:
+                    adj[j] |= 1 << k
+                    adj[k] |= 1 << j
         with _MEMO_LOCK:
             self.memo = _MEMO.setdefault(family.family_hash, {})
 
-    def value(self, rest: tuple[int, ...], chosen: tuple[int, ...]) -> tuple[int, ...]:
+    def value(self, rest: int, chosen: int) -> tuple[int, ...]:
+        """Product over the divisor-graph components of rest+chosen. Admissibility
+        factors over them because every forbidden structure is connected."""
         total = (1,)
-        if not rest:
-            return total
-        for comp_rest, comp_chosen in _split_components(rest, chosen):
-            if not comp_rest:
+        todo = rest | chosen
+        while todo & rest:
+            comp = frontier = todo & -todo
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grow = self.adj[low.bit_length() - 1] & todo & ~comp
+                comp |= grow
+                frontier |= grow
+            todo ^= comp
+            if not comp & rest:
                 continue
-            g = math.gcd(*comp_rest, *comp_chosen)
-            key = (tuple(v // g for v in comp_rest), tuple(v // g for v in comp_chosen))
+            rest_values = [self.elements[j] for j in _bits(comp & rest)]
+            chosen_values = [self.elements[j] for j in _bits(comp & chosen)]
+            g = math.gcd(*rest_values, *chosen_values)
+            key = (tuple(v // g for v in rest_values), tuple(v // g for v in chosen_values))
             val = self.memo.get(key)
             if val is None:
-                val = self._branch(key[0], key[1])
+                val = self._branch(comp & rest, comp & chosen, key[1], g)
                 self.memo[key] = val
             total = _mul(total, val)
         return total
 
-    def _branch(self, rest: tuple[int, ...], chosen: tuple[int, ...]) -> tuple[int, ...]:
+    def _branch(self, rest: int, chosen: int, chosen_values: tuple[int, ...], g: int) -> tuple[int, ...]:
         self.nodes_left -= 1
         if self.nodes_left < 0:
             raise ResourceLimitError(
                 f"search budget of {self.limit} nodes exhausted while solving {self.label}"
             )
-        union = rest + chosen
-        degree = dict.fromkeys(union, 0)
-        for j, a in enumerate(union):
-            for b in union[:j]:
-                if a % b == 0 or b % a == 0:
-                    degree[a] += 1
-                    degree[b] += 1
-        x = max(rest, key=lambda v: (degree[v], -v))
-        rest2 = tuple(v for v in rest if v != x)
+        # the most comparable undecided element; ties go to the smallest
+        union = rest | chosen
+        x = max(_bits(rest), key=lambda j: ((self.adj[j] & union).bit_count(), -j))
+        rest2 = rest ^ (1 << x)
         without = self.value(rest2, chosen)
-        if not is_admissible_with(chosen, x, self.family):
+        if not is_admissible_with(chosen_values, self.elements[x] // g, self.family):
             return without
         # P_without(x) + x * P_with(x)
-        with_x = self.value(rest2, tuple(sorted(chosen + (x,))))
+        with_x = self.value(rest2, chosen | (1 << x))
         out = list(without) + [0] * (len(with_x) + 1 - len(without))
         for k, b in enumerate(with_x, 1):
             out[k] += b
@@ -240,7 +235,7 @@ def size_polynomial(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int 
     """
     elements = _validated_elements(S)
     label = f"{fam.name} on {len(elements)} elements"
-    return _Search(fam, _resolve_limit(node_limit), label).value(elements, ())
+    return _Search(fam, elements, _resolve_limit(node_limit), label).value((1 << len(elements)) - 1, 0)
 
 
 def max_admissible_size(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int | None = None) -> int:

@@ -195,6 +195,8 @@ def test_bound_invalid_inputs_exit_2(capsys, tmp_path):
     assert run_main(capsys, "bound", "--family", "pentagon")[0] == 2
     assert run_main(capsys, "bound", "--family", "two-fork", "--mode", "wat")[0] == 2
     assert run_main(capsys, "bound", "--family", "two-fork", "--mode", "pressure:0")[0] == 2
+    assert run_main(capsys, "bound", "--family", "two-fork", "--mode", "pressure:1e400")[0] == 2
+    assert run_main(capsys, "bound", "--family", "two-fork", "--budget", "inf")[0] == 2
     assert run_main(capsys, "bound", "--family", "two-fork", "--alpha", "0.5")[0] == 2
     assert run_main(capsys, "bound", "--family", "file:/no/such/file.json")[0] == 2
     bad = tmp_path / "bad.json"

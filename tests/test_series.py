@@ -33,6 +33,11 @@ def test_truncation_params_validation():
         TruncationParams(0.5, 100.0)
     with pytest.raises(ValueError):
         TruncationParams(10.0, 0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            TruncationParams(bad, 100.0)
+        with pytest.raises(ValueError):
+            TruncationParams(10.0, bad)
 
 
 def test_d_limit_exact_at_integer_alpha():
@@ -42,6 +47,13 @@ def test_d_limit_exact_at_integer_alpha():
     assert p.d_limit(2) == 10 ** 10 // 2 ** 10
     assert p.d_limit(10) == 1
     assert p.d_limit(11) == 0
+
+
+def test_huge_alpha_retains_only_the_identity_pair():
+    # 2**int(1e308) must never be built: it would not fit in memory
+    assert list(retained_pairs(TruncationParams(1e308, 1e4))) == [(1, 1)]
+    # a fractional alpha whose float power overflows keeps nothing past i = 1
+    assert TruncationParams(1024.5, 1.7e308).d_limit(2) == 0
 
 
 def test_euler_factor_values():

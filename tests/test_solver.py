@@ -243,6 +243,24 @@ def test_one_search_serves_every_mode(monkeypatch):
     clear_caches()
 
 
+@pytest.mark.parametrize("d, t, nodes", [(1, 30, 2807), (6, 60, 4458)])
+def test_search_tree_is_pinned(monkeypatch, d, t, nodes):
+    # a changed branching rule or component split changes these counts
+    clear_caches()
+    calls = []
+    real = solver.is_admissible_with
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "is_admissible_with", counting)
+    solve_block(rooted_component(d, t), TWO_FORK, COUNTING)
+    assert len(calls) == nodes
+    assert sum(len(memo) for memo in solver._MEMO.values()) == nodes
+    clear_caches()
+
+
 def test_memo_is_shared_across_scaled_blocks():
     clear_caches()
     a = count_admissible([3, 6, 12], TWO_FORK)
@@ -264,6 +282,9 @@ def test_mode_validation():
         Mode("nonsense", None)
     with pytest.raises(ValueError):
         partition_mode(Fraction(-1, 2))
+    for z in (Fraction(10) ** 400, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            partition_mode(z)
 
 
 def test_large_elements_stay_exact():
