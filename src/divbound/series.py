@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from threading import Lock
 from typing import Iterator
 
 from .numtheory import (
@@ -142,7 +141,6 @@ class BlockCache:
         self.hits = 0
         self.misses = 0
         self._records: dict[tuple[str, str, CanonicalKey], BlockRecord] = {}
-        self._lock = Lock()
         if path:
             self._load(path)
 
@@ -222,23 +220,17 @@ class BlockCache:
         node_limit: int | None = None,
     ) -> BlockRecord:
         map_key = (fam.family_hash, mode.tag, key)
-        with self._lock:
-            rec = self._records.get(map_key)
-            if rec is not None:
-                self.hits += 1
-                return rec
+        rec = self._records.get(map_key)
+        if rec is not None:
+            self.hits += 1
+            return rec
         component = RootedComponent(
             elements=key.normalized_elements,
             root_index=key.normalized_elements.index(key.root_value),
         )
-        rec = solve_block(component, fam, mode, node_limit=node_limit)
-        with self._lock:
-            if map_key not in self._records:
-                self._records[map_key] = rec
-                self.misses += 1
-                self._append(fam.family_hash, mode.tag, rec)
-            else:
-                rec = self._records[map_key]
+        rec = self._records[map_key] = solve_block(component, fam, mode, node_limit=node_limit)
+        self.misses += 1
+        self._append(fam.family_hash, mode.tag, rec)
         return rec
 
     def __len__(self) -> int:

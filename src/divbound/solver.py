@@ -13,9 +13,8 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
-from threading import Lock
-from typing import Iterable, Iterator
+from itertools import compress, zip_longest
+from typing import Iterable
 
 from .numtheory import CanonicalKey, RootedComponent, canonical_key
 from .patterns import AdmissibleFamily, is_admissible_with
@@ -99,8 +98,13 @@ class BlockRecord:
 def _resolve_limit(node_limit: int | None) -> int:
     if node_limit is None:
         raw = os.environ.get(NODE_LIMIT_ENV)
-        node_limit = int(raw) if raw else DEFAULT_NODE_LIMIT
-    if node_limit < 1:
+        try:
+            node_limit = int(raw) if raw else DEFAULT_NODE_LIMIT
+        except ValueError:
+            node_limit = 0
+        if node_limit < 1:
+            raise ValueError(f"{NODE_LIMIT_ENV} must be a positive integer, got {raw!r}")
+    elif node_limit < 1:
         raise ValueError(f"node limit must be positive, got {node_limit!r}")
     return node_limit
 
@@ -114,21 +118,15 @@ def _validated_elements(S: Iterable[int]) -> tuple[int, ...]:
 
 
 _MEMO: dict[str, dict] = {}
-_MEMO_LOCK = Lock()
 
 
 def clear_caches() -> None:
     """Drop all in-process memo tables (cache files are untouched)."""
-    with _MEMO_LOCK:
-        _MEMO.clear()
+    _MEMO.clear()
 
 
 def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Product of two size polynomials, each with a_0 = 1 (so length 1 means (1,))."""
-    if len(p) == 1:
-        return q
-    if len(q) == 1:
-        return p
+    """Product of two size polynomials."""
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for k, b in enumerate(q, i):
@@ -144,12 +142,12 @@ def _evaluate(P: tuple[int, ...], z: Fraction | float) -> Fraction | float:
     return acc
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _selectors(mask: int) -> bytes:
+    """Selectors for itertools.compress: one 0/1 byte per bit of mask, lowest first."""
+    return bin(mask).encode()[:1:-1].translate(_DIGITS)
 
 
 class _Search:
@@ -160,8 +158,7 @@ class _Search:
     A state is a pair of bitmasks over the sorted elements, and adj[j] is the mask of
     elements comparable to element j under divisibility, built once per search.
     States are memoized per family, shared by every mode, by the values of each
-    component divided by its gcd (dilation invariance). The memo is insert-only and
-    idempotent, so concurrent solvers may share it.
+    component divided by its gcd (dilation invariance). The memo is insert-only.
     """
 
     __slots__ = ("family", "memo", "nodes_left", "limit", "label", "elements", "adj")
@@ -178,51 +175,72 @@ class _Search:
                 if a % elements[k] == 0:
                     adj[j] |= 1 << k
                     adj[k] |= 1 << j
-        with _MEMO_LOCK:
-            self.memo = _MEMO.setdefault(family.family_hash, {})
+        self.memo = _MEMO.setdefault(family.family_hash, {})
 
     def value(self, rest: int, chosen: int) -> tuple[int, ...]:
         """Product over the divisor-graph components of rest+chosen. Admissibility
         factors over them because every forbidden structure is connected."""
         total = (1,)
+        adj = self.adj
         todo = rest | chosen
         while todo & rest:
+            # flood fill from the lowest element; todo keeps what is left unreached
             comp = frontier = todo & -todo
-            while frontier:
+            todo ^= comp
+            while frontier and todo:
                 low = frontier & -frontier
                 frontier ^= low
-                grow = self.adj[low.bit_length() - 1] & todo & ~comp
+                grow = adj[low.bit_length() - 1] & todo
+                todo ^= grow
                 comp |= grow
                 frontier |= grow
-            todo ^= comp
-            if not comp & rest:
+            comp_rest = comp & rest
+            if not comp_rest:
                 continue
-            rest_values = [self.elements[j] for j in _bits(comp & rest)]
-            chosen_values = [self.elements[j] for j in _bits(comp & chosen)]
+            comp_chosen = comp & chosen
+            rest_values = tuple(compress(self.elements, _selectors(comp_rest)))
+            chosen_values = tuple(compress(self.elements, _selectors(comp_chosen)))
             g = math.gcd(*rest_values, *chosen_values)
-            key = (tuple(v // g for v in rest_values), tuple(v // g for v in chosen_values))
+            if g != 1:
+                rest_values = tuple(map(g.__rfloordiv__, rest_values))
+                chosen_values = tuple(map(g.__rfloordiv__, chosen_values))
+            key = (rest_values, chosen_values)
             val = self.memo.get(key)
             if val is None:
-                val = self._branch(comp & rest, comp & chosen, key[1], g)
-                self.memo[key] = val
-            total = _mul(total, val)
+                val = self.memo[key] = self._branch(comp_rest, comp_chosen, key, g)
+            total = _mul(total, val) if len(total) > 1 else val
         return total
 
-    def _branch(self, rest: int, chosen: int, chosen_values: tuple[int, ...], g: int) -> tuple[int, ...]:
+    def _branch(self, rest: int, chosen: int, key: tuple[tuple[int, ...], tuple[int, ...]], g: int) -> tuple[int, ...]:
         self.nodes_left -= 1
         if self.nodes_left < 0:
             raise ResourceLimitError(
                 f"search budget of {self.limit} nodes exhausted while solving {self.label}"
             )
-        # the most comparable undecided element; ties go to the smallest
+        # the most comparable undecided element, ties to the smallest: x is the p-th
+        # undecided element, so its normalized value is rest_values[p]
         union = rest | chosen
-        x = max(_bits(rest), key=lambda j: ((self.adj[j] & union).bit_count(), -j))
+        selectors = _selectors(rest)
+        degrees = list(map(int.bit_count, map(union.__and__, compress(self.adj, selectors))))
+        p = degrees.index(max(degrees))
+        x = list(compress(range(len(selectors)), selectors))[p]
         rest2 = rest ^ (1 << x)
         without = self.value(rest2, chosen)
-        if not is_admissible_with(chosen_values, self.elements[x] // g, self.family):
+        rest_values, chosen_values = key
+        v = rest_values[p]
+        if not is_admissible_with(chosen_values, v, self.family):
             return without
+        if rest2:
+            # including x keeps the union, hence one component with the same gcd g:
+            # its key moves v from the undecided values to the chosen ones
+            q = (chosen & ((1 << x) - 1)).bit_count()
+            child = (rest_values[:p] + rest_values[p + 1 :], chosen_values[:q] + (v,) + chosen_values[q:])
+            with_x = self.memo.get(child)
+            if with_x is None:
+                with_x = self.memo[child] = self._branch(rest2, chosen | (1 << x), child, g)
+        else:
+            with_x = (1,)
         # P_without(x) + x * P_with(x)
-        with_x = self.value(rest2, chosen | (1 << x))
         out = list(without) + [0] * (len(with_x) + 1 - len(without))
         for k, b in enumerate(with_x, 1):
             out[k] += b

@@ -307,3 +307,15 @@ def test_env_node_limit_subprocess():
     )
     assert proc.returncode == 3
     assert "error" in proc.stderr
+
+
+@pytest.mark.parametrize("raw", ["abc", "1e6"])
+def test_env_node_limit_malformed_subprocess(raw):
+    env = child_env(DIVBOUND_NODE_LIMIT=raw)
+    proc = subprocess.run(
+        [sys.executable, "-m", "divbound.cli", "bound", "--family", "two-fork",
+         "--budget", "1e8"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert f"DIVBOUND_NODE_LIMIT must be a positive integer, got {raw!r}" in proc.stderr

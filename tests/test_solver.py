@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -20,6 +21,7 @@ from divbound.solver import (
     max_admissible_size,
     partition_function,
     partition_mode,
+    size_polynomial,
     solve_block,
 )
 
@@ -258,6 +260,43 @@ def test_search_tree_is_pinned(monkeypatch, d, t, nodes):
     solve_block(rooted_component(d, t), TWO_FORK, COUNTING)
     assert len(calls) == nodes
     assert sum(len(memo) for memo in solver._MEMO.values()) == nodes
+    clear_caches()
+
+
+@pytest.mark.parametrize(
+    "d, t, digest",
+    [
+        (1, 30, "2dfb4e257998e0c6117f79b75338641a74595483e71e5e008d7fb9513630b3ab"),
+        (6, 60, "76b5d25c2822dbff982c8102ae4c0f263cabf31d92c74b9493d29bee98df806c"),
+    ],
+)
+def test_memo_contents_are_pinned(d, t, digest):
+    # a key built another way can still give right values, yet stop matching the
+    # same component met in another block or mode; these hashes pin every entry
+    clear_caches()
+    solve_block(rooted_component(d, t), TWO_FORK, COUNTING)
+    items = sorted(solver._MEMO[TWO_FORK.family_hash].items())
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
+    clear_caches()
+
+
+@pytest.mark.parametrize("name", ["two-fork", "r-fork:3", "in-fork:2", "chain:2", "chain:3", "forest"])
+def test_size_polynomial_on_scaled_sets(name):
+    # gaps split the sets into several components, scales 6 and 35 give every
+    # component a gcd above 1; the reference enumerates with is_admissible alone
+    fam = builtin_family(name)
+    rng = random.Random(name)
+    clear_caches()
+    for scale in (1, 6, 35):
+        for _ in range(2):
+            S = sorted(scale * v for v in rng.sample(range(1, 41), rng.randint(8, 14)))
+            hist = [
+                sum(1 for combo in itertools.combinations(S, r) if is_admissible(combo, fam))
+                for r in range(len(S) + 1)
+            ]
+            while hist[-1] == 0:
+                hist.pop()
+            assert size_polynomial(S, fam) == tuple(hist), (name, S)
     clear_caches()
 
 
