@@ -109,6 +109,8 @@ def _reference_estimate(fam: AdmissibleFamily, mode: Mode, params: TruncationPar
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    if args.threads is not None:
+        print("warning: --threads is deprecated and has no effect", file=sys.stderr)
     fam = _parse_family(args.family)
     mode = _parse_mode(args.mode)
     params = TruncationParams(alpha=args.alpha, budget_B=args.budget)
@@ -258,10 +260,16 @@ def _suite_cache_robustness() -> int:
     clean = evaluate(fam, DENSITY, params)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "blocks.tsv")
+        lines = [
+            "not a record",
+            "bad\tfields",
+            "deadbeef\tdensity\t1,2\t1\t9\t9\t-\t-",
+            # the family's own hash and a key the run looks up, with a size pair
+            # no block can have (the root adds at most one element)
+            f"{fam.family_hash}\tdensity\t1\t1\t3\t1\t-\t-",
+        ]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("not a record\n")
-            fh.write("bad\tfields\n")
-            fh.write("deadbeef\tdensity\t1,2\t1\t9\t9\t-\t-\n")
+            fh.writelines(line + "\n" for line in lines)
         cache = BlockCache(path)
         est = evaluate(fam, DENSITY, params, cache)
         if (est.S, est.W) != (clean.S, clean.W):
@@ -269,7 +277,7 @@ def _suite_cache_robustness() -> int:
         warm = evaluate(fam, DENSITY, params, BlockCache(path))
         if (warm.S, warm.W) != (clean.S, clean.W):
             raise _VerifyFailure("reloaded cache changed the evaluation result")
-    return 3
+    return len(lines)
 
 
 _TELESCOPE_FAMILIES = ["two-fork", "r-fork:3", "in-fork:2", "chain:2", "chain:3", "forest"]
@@ -319,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--alpha", type=float, default=10.0, help="truncation exponent (default 10)")
     bound.add_argument("--budget", type=float, default=1e8, help="truncation budget B (default 1e8)")
     bound.add_argument("--cache", default=None, help="block cache file (TSV, append-only)")
-    bound.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
+    bound.add_argument("--threads", type=int, default=None, help="deprecated; has no effect")
     bound.add_argument("--format", choices=("json", "csv"), default="json")
     bound.add_argument(
         "--exact-reference",

@@ -27,7 +27,7 @@ from .numtheory import (
     rooted_component,
     smooth_numbers,
 )
-from .solver import BlockRecord, Mode, local_increment, solve_block
+from .solver import BlockRecord, Mode, local_increment, resolve_node_limit, solve_block
 
 log = logging.getLogger(__name__)
 
@@ -129,9 +129,13 @@ def enumerate_triples(params: TruncationParams) -> Iterator[tuple[int, int, int]
 class BlockCache:
     """Insert-only map from (family hash, mode, canonical key) to solved records.
 
-    Optionally persisted as append-only TSV lines; unreadable or invalid lines are
-    skipped with a warning, and I/O failures degrade to memory-only operation.
-    Partition-mode records stay in memory (their values are not integers).
+    Optionally persisted as append-only TSV lines. Loading reads only a line's two
+    value fields; the line is kept under its written text and becomes a record on
+    the first lookup whose key `_line_key` formats to that same text, so a line
+    that is not in canonical form is never served. Unreadable lines and value pairs
+    out of range are skipped with a warning, and I/O failures degrade to
+    memory-only operation. Partition-mode records stay in memory (their values are
+    not integers).
     """
 
     _PERSISTED_MODES = ("density", "counting")
@@ -141,8 +145,15 @@ class BlockCache:
         self.hits = 0
         self.misses = 0
         self._records: dict[tuple[str, str, CanonicalKey], BlockRecord] = {}
+        # loaded lines not looked up yet: written key text -> value pair
+        self._lines: dict[tuple[str, str, str, str], tuple[int, int]] = {}
         if path:
             self._load(path)
+
+    @staticmethod
+    def _line_key(family_hash: str, mode_tag: str, key: CanonicalKey) -> tuple[str, str, str, str]:
+        """The key fields of the line that persists this record, as written."""
+        return family_hash, mode_tag, ",".join(map(str, key.normalized_elements)), str(key.root_value)
 
     def _load(self, path: str) -> None:
         try:
@@ -153,57 +164,50 @@ class BlockCache:
             log.warning("cannot read cache file %s (%s); continuing in memory", path, exc)
             self.path = None
             return
+        lines = self._lines
         with fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                rec_key, rec = self._parse_line(line, lineno, path)
-                if rec is not None:
-                    self._records.setdefault(rec_key, rec)
+                try:
+                    family_hash, mode_tag, elems_csv, root_s, pf, pd, qf, qd = line.split("\t")
+                    if mode_tag == "density":
+                        full, deleted = int(pf), int(pd)
+                        if not 0 <= full - deleted <= 1:
+                            raise ValueError("size pair out of range")
+                    elif mode_tag == "counting":
+                        full, deleted = int(qf), int(qd)
+                        if not 1 <= deleted <= full <= 2 * deleted:
+                            raise ValueError("count pair out of range")
+                    else:
+                        raise ValueError(f"unknown mode {mode_tag!r}")
+                except ValueError as exc:
+                    log.warning("skipping unreadable cache line %d in %s (%s)", lineno, path, exc)
+                    continue
+                lines.setdefault((family_hash, mode_tag, elems_csv, root_s), (full, deleted))
 
-    def _parse_line(self, line: str, lineno: int, path: str):
-        try:
-            family_hash, mode_tag, elems_csv, root_s, pf, pd, qf, qd = line.split("\t")
-            elements = tuple(int(v) for v in elems_csv.split(","))
-            root = int(root_s)
-            if root not in elements or list(elements) != sorted(set(elements)):
-                raise ValueError("malformed component")
-            key = CanonicalKey(normalized_elements=elements, root_value=root)
-            if mode_tag == "density":
-                full, deleted = int(pf), int(pd)
-                if not 0 <= full - deleted <= 1:
-                    raise ValueError("size pair out of range")
-                rec = BlockRecord(key=key, size_full=full, size_deleted=deleted)
-            elif mode_tag == "counting":
-                full, deleted = int(qf), int(qd)
-                if not 1 <= deleted <= full <= 2 * deleted:
-                    raise ValueError("count pair out of range")
-                rec = BlockRecord(key=key, count_full=full, count_deleted=deleted)
-            else:
-                raise ValueError(f"unknown mode {mode_tag!r}")
-            return (family_hash, mode_tag, key), rec
-        except ValueError as exc:
-            log.warning("skipping unreadable cache line %d in %s (%s)", lineno, path, exc)
-            return None, None
+    def _from_line(self, map_key: tuple[str, str, CanonicalKey]) -> BlockRecord | None:
+        """Build the record of a loaded line written for exactly this key, if any."""
+        pair = self._lines.pop(self._line_key(*map_key), None)
+        if pair is None:
+            return None
+        key = map_key[2]
+        if map_key[1] == "density":
+            rec = BlockRecord(key=key, size_full=pair[0], size_deleted=pair[1])
+        else:
+            rec = BlockRecord(key=key, count_full=pair[0], count_deleted=pair[1])
+        self._records[map_key] = rec
+        return rec
 
     def _append(self, family_hash: str, mode_tag: str, rec: BlockRecord) -> None:
         if not self.path or mode_tag not in self._PERSISTED_MODES:
             return
-        key = rec.key
         if mode_tag == "density":
             fields = (rec.size_full, rec.size_deleted, "-", "-")
         else:
             fields = ("-", "-", rec.count_full, rec.count_deleted)
-        line = "\t".join(
-            [
-                family_hash,
-                mode_tag,
-                ",".join(map(str, key.normalized_elements)),
-                str(key.root_value),
-                *map(str, fields),
-            ]
-        )
+        line = "\t".join([*self._line_key(family_hash, mode_tag, rec.key), *map(str, fields)])
         try:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
@@ -221,6 +225,8 @@ class BlockCache:
     ) -> BlockRecord:
         map_key = (fam.family_hash, mode.tag, key)
         rec = self._records.get(map_key)
+        if rec is None and self._lines:
+            rec = self._from_line(map_key)
         if rec is not None:
             self.hits += 1
             return rec
@@ -234,7 +240,8 @@ class BlockCache:
         return rec
 
     def __len__(self) -> int:
-        return len(self._records)
+        """Records held, whether built or still a loaded line."""
+        return len(self._records) + len(self._lines)
 
 
 def plan_segments(params: TruncationParams) -> Iterator[tuple[int, int, list[tuple[int, int, CanonicalKey]]]]:
@@ -262,7 +269,6 @@ def evaluate(
     params: TruncationParams,
     cache: BlockCache | None = None,
     *,
-    threads: int = 1,
     node_limit: int | None = None,
 ) -> SeriesEstimate:
     """Evaluate the truncated series and return the certified interval.
@@ -271,8 +277,10 @@ def evaluate(
     adds M times the unretained coefficient mass plus a float summation allowance.
     Segments come from plan_segments; each pair's contribution is summed over its
     segments and the reduction over pairs runs sequentially in enumeration order.
-    `threads` is accepted for compatibility and has no effect on the result.
+    The node limit is resolved before the first lookup, so a malformed
+    DIVBOUND_NODE_LIMIT fails even when every block comes from the cache.
     """
+    node_limit = resolve_node_limit(node_limit)
     if cache is None:
         cache = BlockCache(None)
     seen: set[CanonicalKey] = set()
@@ -352,6 +360,7 @@ def collect_blocks(
     node_limit: int | None = None,
 ) -> list[tuple[CanonicalKey, float, int | float]]:
     """Per-block aggregate weight and increment, heaviest block first."""
+    node_limit = resolve_node_limit(node_limit)
     if cache is None:
         cache = BlockCache(None)
     weights: dict[CanonicalKey, float] = {}

@@ -95,7 +95,9 @@ class BlockRecord:
     partition_deleted: Fraction | float | None = None
 
 
-def _resolve_limit(node_limit: int | None) -> int:
+def resolve_node_limit(node_limit: int | None) -> int:
+    """The given node limit, or DIVBOUND_NODE_LIMIT, or the default; ValueError when
+    the result is not a positive integer."""
     if node_limit is None:
         raw = os.environ.get(NODE_LIMIT_ENV)
         try:
@@ -253,7 +255,7 @@ def size_polynomial(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int 
     """
     elements = _validated_elements(S)
     label = f"{fam.name} on {len(elements)} elements"
-    return _Search(fam, elements, _resolve_limit(node_limit), label).value((1 << len(elements)) - 1, 0)
+    return _Search(fam, elements, resolve_node_limit(node_limit), label).value((1 << len(elements)) - 1, 0)
 
 
 def max_admissible_size(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int | None = None) -> int:

@@ -43,7 +43,7 @@ def _report(name: str, ok: bool, detail: str = ""):
 def beta_run_1e10():
     cache = BlockCache(None)
     t0 = time.perf_counter()
-    est = evaluate(TWO_FORK, COUNTING, TruncationParams(10.0, 1e10), cache, threads=1)
+    est = evaluate(TWO_FORK, COUNTING, TruncationParams(10.0, 1e10), cache)
     elapsed = time.perf_counter() - t0
     return est, cache, elapsed
 
@@ -99,7 +99,7 @@ def test_criterion_2_density_lower_bound_full_scale():
     # the widest block at this budget has 410 elements and needs far more than
     # the default per-block search budget; needs tens of GB of memory and hours
     est = evaluate(
-        TWO_FORK, DENSITY, TruncationParams(10.0, 1e13), threads=1, node_limit=10**9
+        TWO_FORK, DENSITY, TruncationParams(10.0, 1e13), node_limit=10**9
     )
     ok = est.lower >= 0.6729
     _report(
@@ -239,7 +239,7 @@ def test_criterion_7_interval_lower_bounds():
 
 def test_criterion_8_thread_determinism(beta_run_1e10):
     est1, cache, _ = beta_run_1e10
-    est8 = evaluate(TWO_FORK, COUNTING, TruncationParams(10.0, 1e10), cache, threads=8)
+    est8 = evaluate(TWO_FORK, COUNTING, TruncationParams(10.0, 1e10), cache)
     ok = (
         est1.S == est8.S
         and est1.W == est8.W

@@ -119,6 +119,20 @@ def test_bound_threads_do_not_change_output(capsys):
     assert d1 == d4
 
 
+def test_bound_threads_flag_is_deprecated(capsys):
+    args = ["bound", "--family", "two-fork", "--budget", "1e4"]
+    _, out, err = run_main(capsys, *args)
+    assert err == ""
+    clear_caches()
+    code, out_threads, err_threads = run_main(capsys, *args, "--threads", "4")
+    assert code == 0
+    assert "--threads is deprecated" in err_threads
+    d, d_threads = json.loads(out), json.loads(out_threads)
+    d.pop("elapsed_seconds")
+    d_threads.pop("elapsed_seconds")
+    assert d == d_threads
+
+
 def test_bound_budget_monotonicity(capsys):
     docs = []
     for budget in ("10", "1e3", "1e5"):
@@ -319,3 +333,14 @@ def test_env_node_limit_malformed_subprocess(raw):
     )
     assert proc.returncode == 2
     assert f"DIVBOUND_NODE_LIMIT must be a positive integer, got {raw!r}" in proc.stderr
+
+
+def test_env_node_limit_malformed_with_filled_cache_subprocess(tmp_path):
+    cache = str(tmp_path / "blocks.tsv")
+    args = [sys.executable, "-m", "divbound.cli", "bound", "--family", "two-fork",
+            "--budget", "1e6", "--cache", cache]
+    assert subprocess.run(args, capture_output=True, env=child_env()).returncode == 0
+    # every block of the second run is read from the file, none is solved
+    proc = subprocess.run(args, capture_output=True, text=True, env=child_env(DIVBOUND_NODE_LIMIT="abc"))
+    assert proc.returncode == 2
+    assert "DIVBOUND_NODE_LIMIT must be a positive integer, got 'abc'" in proc.stderr

@@ -191,8 +191,8 @@ def test_monotone_refinement_in_budget():
 
 def test_thread_counts_produce_identical_bits():
     params = TruncationParams(10.0, 1e5)
-    one = evaluate(TWO_FORK, COUNTING, params, threads=1)
-    four = evaluate(TWO_FORK, COUNTING, params, threads=4)
+    one = evaluate(TWO_FORK, COUNTING, params)
+    four = evaluate(TWO_FORK, COUNTING, params)
     assert one.S == four.S
     assert one.W == four.W
     assert one.lower == four.lower
@@ -215,6 +215,17 @@ def test_evaluate_aborts_on_resource_error():
     with pytest.raises(ResourceLimitError):
         evaluate(TWO_FORK, COUNTING, TruncationParams(10.0, 1e6), node_limit=3)
     clear_caches()
+
+
+def test_malformed_node_limit_fails_on_a_filled_cache(monkeypatch):
+    params = TruncationParams(10.0, 1e4)
+    cache = BlockCache(None)
+    evaluate(TWO_FORK, DENSITY, params, cache)
+    monkeypatch.setenv("DIVBOUND_NODE_LIMIT", "abc")
+    for run in (evaluate, collect_blocks):
+        with pytest.raises(ValueError, match="DIVBOUND_NODE_LIMIT must be a positive integer"):
+            run(TWO_FORK, DENSITY, params, cache)
+    assert cache.misses == len(cache)
 
 
 def test_cache_hit_avoids_resolve():
@@ -291,16 +302,152 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
     path = str(tmp_path / "blocks.tsv")
     cache = BlockCache(path)
     evaluate(TWO_FORK, DENSITY, TruncationParams(10.0, 500.0), cache)
+    written = len(open(path).read().splitlines())
     with open(path, "a") as fh:
         fh.write("garbage line without tabs\n")
         fh.write("a\tb\tc\n")
         fh.write("deadbeefdeadbeef\tdensity\t1,2\t9\t2\t1\t-\t-\n")  # root not in elements
     with caplog.at_level(logging.WARNING):
         reloaded = BlockCache(path)
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == 2
+    assert f"cache line {written + 1} in {path}" in warned[0]
+    assert f"cache line {written + 2} in {path}" in warned[1]
+    # the third line reads as a record, but its text is no key the writer formats
+    assert len(reloaded) == written + 1
     est = evaluate(TWO_FORK, DENSITY, TruncationParams(10.0, 500.0), reloaded)
     clean = evaluate(TWO_FORK, DENSITY, TruncationParams(10.0, 500.0))
     assert est.S == clean.S
     assert est.upper == clean.upper
+    assert reloaded.misses == 0
+
+
+SAFETY_PARAMS = TruncationParams(10.0, 2000.0)
+SAFETY_MODES = (DENSITY, COUNTING)
+
+
+def _solved_blocks():
+    """(mode, record) for every block of a small two-fork run in density and beta."""
+    cache = BlockCache(None)
+    return [
+        (mode, cache.lookup_or_solve(key, TWO_FORK, mode))
+        for mode in SAFETY_MODES
+        for key, _, _ in collect_blocks(TWO_FORK, mode, SAFETY_PARAMS, cache)
+    ]
+
+
+def _pair(mode, rec):
+    if mode is DENSITY:
+        return rec.size_full, rec.size_deleted
+    return rec.count_full, rec.count_deleted
+
+
+def _wrong_pair(mode, rec):
+    """A pair that loads without warning but changes the record's increment."""
+    full, deleted = _pair(mode, rec)
+    if mode is DENSITY:
+        return (deleted + 1, deleted) if full == deleted else (deleted, deleted)
+    return (2 * deleted, deleted) if full == deleted else (deleted, deleted)
+
+
+def _line(mode, elements: str, root: str, pair) -> str:
+    values = [*map(str, pair), "-", "-"] if mode is DENSITY else ["-", "-", *map(str, pair)]
+    return "\t".join([TWO_FORK.family_hash, mode.tag, elements, root, *values]) + "\n"
+
+
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
+# each spells a real key in a text that the cache writer never produces
+NON_CANONICAL = {
+    "unsorted": lambda els, root: (_csv(reversed(els)), str(root)) if len(els) > 1 else None,
+    "leading-zero": lambda els, root: ("0" + _csv(els), str(root)),
+    "root-outside": lambda els, root: (_csv(els), str(max(els) + 1)),
+    "not-normalized": lambda els, root: (_csv(2 * v for v in els), str(2 * root)),
+}
+
+
+def _warm_run(path):
+    cache = BlockCache(path)
+    return [evaluate(TWO_FORK, mode, SAFETY_PARAMS, cache) for mode in SAFETY_MODES], cache
+
+
+def _clean_run():
+    cache = BlockCache(None)
+    return [evaluate(TWO_FORK, mode, SAFETY_PARAMS, cache) for mode in SAFETY_MODES], cache
+
+
+def test_cache_serves_canonical_lines_as_written(tmp_path):
+    # control for the tests below: these wrong pairs, written under the canonical
+    # text, are read and do change the result
+    path = tmp_path / "blocks.tsv"
+    with open(path, "w") as fh:
+        for mode, rec in _solved_blocks():
+            key = rec.key
+            fh.write(_line(mode, _csv(key.normalized_elements), str(key.root_value), _wrong_pair(mode, rec)))
+    (dens, beta), cache = _warm_run(str(path))
+    (clean_dens, clean_beta), _ = _clean_run()
+    assert cache.misses == 0
+    assert dens.S != clean_dens.S
+    assert beta.S != clean_beta.S
+
+
+@pytest.mark.parametrize("kind", sorted(NON_CANONICAL))
+def test_cache_never_serves_non_canonical_text(tmp_path, caplog, kind):
+    path = tmp_path / "blocks.tsv"
+    spell = NON_CANONICAL[kind]
+    written = 0
+    with open(path, "w") as fh:
+        for mode, rec in _solved_blocks():
+            text = spell(rec.key.normalized_elements, rec.key.root_value)
+            if text is not None:
+                fh.write(_line(mode, *text, _wrong_pair(mode, rec)))
+                written += 1
+    assert written > 0
+    with caplog.at_level(logging.WARNING):
+        warm, cache = _warm_run(str(path))
+    clean, clean_cache = _clean_run()
+    assert not caplog.records
+    assert warm == clean
+    assert cache.hits == clean_cache.hits
+    assert cache.misses == clean_cache.misses
+
+
+def test_cache_skips_out_of_range_pairs(tmp_path, caplog):
+    path = tmp_path / "blocks.tsv"
+    with open(path, "w") as fh:
+        for mode, rec in _solved_blocks():
+            deleted = _pair(mode, rec)[1]
+            # the root adds at most one element, and at most doubles the count
+            pair = (deleted + 2, deleted) if mode is DENSITY else (2 * deleted + 1, deleted)
+            fh.write(_line(mode, _csv(rec.key.normalized_elements), str(rec.key.root_value), pair))
+    lines = len(open(path).read().splitlines())
+    with caplog.at_level(logging.WARNING):
+        warm, cache = _warm_run(str(path))
+    clean, clean_cache = _clean_run()
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == lines
+    for lineno, message in enumerate(warned, start=1):
+        assert f"cache line {lineno} in {path}" in message
+    assert any("size pair out of range" in m for m in warned)
+    assert any("count pair out of range" in m for m in warned)
+    assert warm == clean
+    assert cache.misses == clean_cache.misses
+
+
+def test_cache_warm_reload_reads_density_and_beta_and_solves_pressure(tmp_path):
+    path = str(tmp_path / "blocks.tsv")
+    pressure = partition_mode(2)
+    cache = BlockCache(path)
+    cold = [evaluate(TWO_FORK, mode, SAFETY_PARAMS, cache) for mode in (*SAFETY_MODES, pressure)]
+    reloaded = BlockCache(path)
+    warm = [evaluate(TWO_FORK, mode, SAFETY_PARAMS, reloaded) for mode in SAFETY_MODES]
+    assert reloaded.misses == 0
+    assert warm == cold[:2]
+    warm_pressure = evaluate(TWO_FORK, pressure, SAFETY_PARAMS, reloaded)
+    assert reloaded.misses == warm_pressure.blocks > 0
+    assert warm_pressure == cold[2]
 
 
 def test_cache_partition_records_stay_in_memory(tmp_path):
@@ -365,5 +512,5 @@ def test_each_block_is_solved_once(monkeypatch):
     monkeypatch.setattr(series, "solve_block", counting_solve)
     cache = BlockCache(None)
     # at B=1e8 (29 blocks) a thread pool racing on shared keys solved some twice
-    est = evaluate(TWO_FORK, COUNTING, TruncationParams(10.0, 1e8), cache, threads=4)
+    est = evaluate(TWO_FORK, COUNTING, TruncationParams(10.0, 1e8), cache)
     assert calls == cache.misses == est.blocks
