@@ -368,13 +368,9 @@ NON_CANONICAL = {
 }
 
 
-def _warm_run(path):
+def _run(path=None):
+    """Density and beta estimates of the small run, on a cache opened from path."""
     cache = BlockCache(path)
-    return [evaluate(TWO_FORK, mode, SAFETY_PARAMS, cache) for mode in SAFETY_MODES], cache
-
-
-def _clean_run():
-    cache = BlockCache(None)
     return [evaluate(TWO_FORK, mode, SAFETY_PARAMS, cache) for mode in SAFETY_MODES], cache
 
 
@@ -386,8 +382,8 @@ def test_cache_serves_canonical_lines_as_written(tmp_path):
         for mode, rec in _solved_blocks():
             key = rec.key
             fh.write(_line(mode, _csv(key.normalized_elements), str(key.root_value), _wrong_pair(mode, rec)))
-    (dens, beta), cache = _warm_run(str(path))
-    (clean_dens, clean_beta), _ = _clean_run()
+    (dens, beta), cache = _run(str(path))
+    (clean_dens, clean_beta), _ = _run()
     assert cache.misses == 0
     assert dens.S != clean_dens.S
     assert beta.S != clean_beta.S
@@ -406,8 +402,8 @@ def test_cache_never_serves_non_canonical_text(tmp_path, caplog, kind):
                 written += 1
     assert written > 0
     with caplog.at_level(logging.WARNING):
-        warm, cache = _warm_run(str(path))
-    clean, clean_cache = _clean_run()
+        warm, cache = _run(str(path))
+    clean, clean_cache = _run()
     assert not caplog.records
     assert warm == clean
     assert cache.hits == clean_cache.hits
@@ -424,8 +420,8 @@ def test_cache_skips_out_of_range_pairs(tmp_path, caplog):
             fh.write(_line(mode, _csv(rec.key.normalized_elements), str(rec.key.root_value), pair))
     lines = len(open(path).read().splitlines())
     with caplog.at_level(logging.WARNING):
-        warm, cache = _warm_run(str(path))
-    clean, clean_cache = _clean_run()
+        warm, cache = _run(str(path))
+    clean, clean_cache = _run()
     warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warned) == lines
     for lineno, message in enumerate(warned, start=1):
