@@ -81,6 +81,27 @@ class Pattern:
     def degree(self, vertex: int) -> int:
         return sum(1 for a, b, _ in self.edges if vertex in (a, b))
 
+    @cached_property
+    def diameter(self) -> int:
+        """Largest distance between two vertices, edge directions ignored. Each edge
+        maps to a divisibility, so every element of a copy lies within this many
+        divisor-graph steps of every other, each step inside the copy."""
+        nbrs = [set() for _ in range(self.vertex_count)]
+        for a, b, _ in self.edges:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        longest = 0
+        for start in range(self.vertex_count):
+            seen = {start}
+            frontier = {start}
+            steps = 0
+            while frontier:
+                frontier = {w for u in frontier for w in nbrs[u]} - seen
+                seen |= frontier
+                steps += bool(frontier)
+            longest = max(longest, steps)
+        return longest
+
 
 @lru_cache(maxsize=None)
 def placement_plan(pattern: Pattern, anchor: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -165,12 +186,18 @@ def contains_pattern(S: Iterable[int], pattern: Pattern) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def _distinct_plans(pattern: Pattern) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """placement_plan for every anchor, each distinct plan once: anchors with equal
+    plans, such as the leaves of a fork, would run the same search."""
+    return tuple(dict.fromkeys(placement_plan(pattern, a) for a in range(pattern.vertex_count)))
+
+
 def _creates_copy_with(pool: tuple[int, ...], x: int, pattern: Pattern) -> bool:
     """Copy of the pattern inside pool + {x} whose image uses x."""
     if len(pool) + 1 < pattern.vertex_count:
         return False
-    for anchor in range(pattern.vertex_count):
-        plan = placement_plan(pattern, anchor)
+    for plan in _distinct_plans(pattern):
         if _extend(plan, 0, [x], {x}, pool):
             return True
     return False

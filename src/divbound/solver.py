@@ -13,7 +13,9 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import compress, zip_longest
+from operator import or_
 from typing import Iterable
 
 from .numtheory import CanonicalKey, RootedComponent, canonical_key
@@ -159,11 +161,18 @@ class _Search:
 
     A state is a pair of bitmasks over the sorted elements, and adj[j] is the mask of
     elements comparable to element j under divisibility, built once per search.
-    States are memoized per family, shared by every mode, by the values of each
-    component divided by its gcd (dilation invariance). The memo is insert-only.
+
+    A new forbidden copy holds an undecided element x and is connected, so it lies
+    within radius steps of x, the largest pattern diameter (at least 1). A chosen
+    element farther than that from every undecided one, along steps through chosen
+    elements, is in no future copy and is dropped from the state; forest families
+    keep every chosen element, since a cycle has no bounded length. A memo key holds
+    one divisor-graph component of the pruned state: its undecided values and its
+    kept chosen values, each divided by the component's gcd (dilation invariance).
+    Keys are per family, shared by every mode, and the memo is insert-only.
     """
 
-    __slots__ = ("family", "memo", "nodes_left", "limit", "label", "elements", "adj")
+    __slots__ = ("family", "memo", "nodes_left", "limit", "label", "elements", "adj", "radius")
 
     def __init__(self, family: AdmissibleFamily, elements: tuple[int, ...], node_limit: int, label: str):
         self.family = family
@@ -178,10 +187,26 @@ class _Search:
                     adj[j] |= 1 << k
                     adj[k] |= 1 << j
         self.memo = _MEMO.setdefault(family.family_hash, {})
+        # 0 turns pruning off; at least 1 keeps an included element that has an
+        # undecided neighbour, so the include branch's derived key stays pruned
+        self.radius = 0 if family.forbid_cycles else max([1] + [p.diameter for p in family.patterns])
+
+    def _near(self, rest: int, chosen: int) -> int:
+        """The chosen elements within radius steps of rest, each step into chosen."""
+        adj = self.adj
+        far = chosen
+        frontier = rest
+        for _ in range(self.radius):
+            frontier = reduce(or_, compress(adj, _selectors(frontier)), 0) & far
+            far ^= frontier
+            if not (frontier and far):
+                break
+        return chosen ^ far
 
     def value(self, rest: int, chosen: int) -> tuple[int, ...]:
-        """Product over the divisor-graph components of rest+chosen. Admissibility
-        factors over them because every forbidden structure is connected."""
+        """Product over the divisor-graph components of rest+chosen, where chosen is
+        already pruned to the elements near rest. Admissibility factors over the
+        components because every forbidden structure is connected."""
         total = (1,)
         adj = self.adj
         todo = rest | chosen
@@ -221,25 +246,44 @@ class _Search:
             )
         # the most comparable undecided element, ties to the smallest: x is the p-th
         # undecided element, so its normalized value is rest_values[p]
+        adj = self.adj
         union = rest | chosen
         selectors = _selectors(rest)
-        degrees = list(map(int.bit_count, map(union.__and__, compress(self.adj, selectors))))
+        degrees = list(map(int.bit_count, map(union.__and__, compress(adj, selectors))))
         p = degrees.index(max(degrees))
         x = list(compress(range(len(selectors)), selectors))[p]
         rest2 = rest ^ (1 << x)
-        without = self.value(rest2, chosen)
+        # Every chosen element is near rest. A path that starts at x goes on through a
+        # chosen neighbour y of x; when every such y has a neighbour in rest2, each
+        # path can start there instead, and no chosen element stops being near.
+        touching = adj[x] & chosen if self.radius and rest2 else 0
+        recheck = False
+        while touching and not recheck:
+            y = touching & -touching
+            touching ^= y
+            recheck = not adj[y.bit_length() - 1] & rest2
+        without = self.value(rest2, self._near(rest2, chosen) if recheck else chosen)
         rest_values, chosen_values = key
         v = rest_values[p]
         if not is_admissible_with(chosen_values, v, self.family):
             return without
-        if rest2:
+        chosen2 = chosen | (1 << x)
+        # an included x is one step from rest2, or two through a y; one without
+        # chosen neighbours has a neighbour in rest2, as the component is connected
+        if recheck or (self.radius == 1 and chosen & adj[x] and not adj[x] & rest2):
+            kept = self._near(rest2, chosen2)
+        else:
+            kept = chosen2
+        if kept != chosen2:
+            with_x = self.value(rest2, kept)
+        elif rest2:
             # including x keeps the union, hence one component with the same gcd g:
             # its key moves v from the undecided values to the chosen ones
             q = (chosen & ((1 << x) - 1)).bit_count()
             child = (rest_values[:p] + rest_values[p + 1 :], chosen_values[:q] + (v,) + chosen_values[q:])
             with_x = self.memo.get(child)
             if with_x is None:
-                with_x = self.memo[child] = self._branch(rest2, chosen | (1 << x), child, g)
+                with_x = self.memo[child] = self._branch(rest2, chosen2, child, g)
         else:
             with_x = (1,)
         # P_without(x) + x * P_with(x)

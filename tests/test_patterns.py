@@ -8,6 +8,7 @@ from divbound.patterns import (
     AdmissibleFamily,
     Pattern,
     PatternError,
+    _distinct_plans,
     builtin_family,
     chain,
     contains_pattern,
@@ -175,7 +176,7 @@ def test_dilation_invariance_random():
 
 def test_incremental_consistency_random():
     rng = random.Random(66600)
-    fams = [builtin_family(s) for s in ("two-fork", "in-fork:3", "chain:3", "forest")]
+    fams = [builtin_family(s) for s in ("two-fork", "r-fork:3", "in-fork:3", "chain:3", "forest")]
     checked = 0
     while checked < 150:
         S = set(rng.sample(range(1, 41), rng.randint(0, 8)))
@@ -187,6 +188,21 @@ def test_incremental_consistency_random():
                 continue
             checked += 1
             assert is_admissible_with(S, x, fam) == is_admissible(S | {x}, fam)
+
+
+def test_pattern_diameter_ignores_directions():
+    assert [chain(k).diameter for k in (2, 3, 5)] == [1, 2, 4]
+    assert r_fork(4).diameter == in_fork(3).diameter == 2
+    assert Pattern(1, ()).diameter == 0
+    # a zigzag path: 0 -> 1 <- 2 - 3
+    assert Pattern(4, ((0, 1, True), (2, 1, True), (2, 3, False))).diameter == 3
+
+
+def test_fork_leaves_share_one_placement_plan():
+    # every leaf anchor of a fork gives the same plan, so the matcher runs it once
+    assert len(_distinct_plans(two_fork())) == 2
+    assert len(_distinct_plans(r_fork(5))) == 2
+    assert len(_distinct_plans(chain(3))) == 3
 
 
 def test_two_fork_semantic_restatement():

@@ -8,7 +8,7 @@ import pytest
 
 from divbound import solver
 from divbound.numtheory import RootedComponent, divisor_connected_component, rooted_component
-from divbound.patterns import builtin_family, is_admissible
+from divbound.patterns import builtin_family, family_from_json, is_admissible
 from divbound.solver import (
     COUNTING,
     DENSITY,
@@ -245,9 +245,23 @@ def test_one_search_serves_every_mode(monkeypatch):
     clear_caches()
 
 
-@pytest.mark.parametrize("d, t, nodes", [(1, 30, 2807), (6, 60, 4458)])
-def test_search_tree_is_pinned(monkeypatch, d, t, nodes):
-    # a changed branching rule or component split changes these counts
+@pytest.mark.parametrize(
+    "name, d, t, nodes",
+    [
+        ("two-fork", 1, 30, 2673),
+        ("two-fork", 6, 60, 4317),
+        ("chain:3", 10, 60, 281),
+        # 29 elements; without pruning the full-set search alone passes 300,000 nodes
+        ("chain:3", 6, 60, 39765),
+        # forest families keep every chosen element, so pruning leaves this count as it was
+        ("forest", 1, 16, 2319),
+    ],
+    ids=["two-fork-1-30", "two-fork-6-60", "chain3-10-60", "chain3-6-60", "forest-1-16"],
+)
+def test_search_tree_is_pinned(monkeypatch, name, d, t, nodes):
+    # a changed branching rule, component split or pruning changes these counts;
+    # every search here stays within 50,000 nodes
+    fam = builtin_family(name)
     clear_caches()
     calls = []
     real = solver.is_admissible_with
@@ -257,25 +271,28 @@ def test_search_tree_is_pinned(monkeypatch, d, t, nodes):
         return real(*args)
 
     monkeypatch.setattr(solver, "is_admissible_with", counting)
-    solve_block(rooted_component(d, t), TWO_FORK, COUNTING)
+    solve_block(rooted_component(d, t), fam, COUNTING, node_limit=50_000)
     assert len(calls) == nodes
     assert sum(len(memo) for memo in solver._MEMO.values()) == nodes
     clear_caches()
 
 
 @pytest.mark.parametrize(
-    "d, t, digest",
+    "name, d, t, digest",
     [
-        (1, 30, "2dfb4e257998e0c6117f79b75338641a74595483e71e5e008d7fb9513630b3ab"),
-        (6, 60, "76b5d25c2822dbff982c8102ae4c0f263cabf31d92c74b9493d29bee98df806c"),
+        ("two-fork", 1, 30, "e72db9621565e888a5860cc08e3c038e2c7b8d4d9cc60a5fcec9a4189015e856"),
+        ("two-fork", 6, 60, "c86f57c8946e6b7ed3973024a89cc0dcc847e77648fa9cac5e86f7e573a9a212"),
+        ("chain:3", 10, 60, "f4b221978ab75180239645f64a14932d52a55c0d6045d26a6a8993241e34b522"),
     ],
+    ids=["two-fork-1-30", "two-fork-6-60", "chain3-10-60"],
 )
-def test_memo_contents_are_pinned(d, t, digest):
+def test_memo_contents_are_pinned(name, d, t, digest):
     # a key built another way can still give right values, yet stop matching the
     # same component met in another block or mode; these hashes pin every entry
+    fam = builtin_family(name)
     clear_caches()
-    solve_block(rooted_component(d, t), TWO_FORK, COUNTING)
-    items = sorted(solver._MEMO[TWO_FORK.family_hash].items())
+    solve_block(rooted_component(d, t), fam, COUNTING)
+    items = sorted(solver._MEMO[fam.family_hash].items())
     assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
     clear_caches()
 
@@ -297,6 +314,122 @@ def test_size_polynomial_on_scaled_sets(name):
             while hist[-1] == 0:
                 hist.pop()
             assert size_polynomial(S, fam) == tuple(hist), (name, S)
+    clear_caches()
+
+
+MIXED_PATH = family_from_json(
+    {
+        "patterns": [
+            {
+                "vertices": 4,
+                "edges": [
+                    {"from": 0, "to": 1, "directed": True},
+                    {"from": 2, "to": 1, "directed": False},
+                    {"from": 2, "to": 3, "directed": True},
+                ],
+            }
+        ]
+    },
+    "mixed-path",
+)
+# chain:3 (diameter 2) and the fence a|b, c|b, c|d, e|d (diameter 4): a radius of 2
+# misses fence copies on the semiprime set below
+CHAIN_AND_FENCE = family_from_json(
+    {
+        "patterns": [
+            {
+                "vertices": 3,
+                "edges": [{"from": 0, "to": 1, "directed": True}, {"from": 1, "to": 2, "directed": True}],
+            },
+            {
+                "vertices": 5,
+                "edges": [
+                    {"from": 0, "to": 1, "directed": True},
+                    {"from": 2, "to": 1, "directed": True},
+                    {"from": 2, "to": 3, "directed": True},
+                    {"from": 4, "to": 3, "directed": True},
+                ],
+            },
+        ]
+    },
+    "chain-and-fence",
+)
+
+
+# three pairwise comparable elements: chain:3's sets with diameter 1 instead of 2,
+# so an included element with no undecided neighbour is dropped at once
+TRIANGLE = family_from_json(
+    {
+        "patterns": [
+            {
+                "vertices": 3,
+                "edges": [{"from": a, "to": b, "directed": False} for a, b in ((0, 1), (0, 2), (1, 2))],
+            }
+        ]
+    },
+    "triangle",
+)
+
+
+@pytest.mark.parametrize(
+    "fam, radius",
+    [
+        (builtin_family("chain:4"), 3),
+        (builtin_family("r-fork:3"), 2),
+        (MIXED_PATH, 3),
+        (CHAIN_AND_FENCE, 4),
+        (TRIANGLE, 1),
+    ],
+    ids=["chain4", "r-fork3", "mixed-path", "chain-and-fence", "triangle"],
+)
+def test_pruned_search_matches_enumeration(monkeypatch, fam, radius):
+    # the search drops chosen elements farther than the largest pattern diameter
+    # from every undecided one; the reference enumerates with is_admissible alone
+    pruned = []
+    real = solver._Search._near
+
+    def near(self, rest, chosen):
+        assert self.radius == radius
+        kept = real(self, rest, chosen)
+        pruned.append(kept != chosen)
+        return kept
+
+    monkeypatch.setattr(solver._Search, "_near", near)
+    sets = [
+        list(range(1, 13)),
+        [1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 36, 48],
+        [2, 3, 5, 7, 11, 6, 10, 14, 15, 21, 35, 22, 33, 55],
+    ]
+    for S in sets:
+        clear_caches()
+        pruned.clear()
+        hist = [
+            sum(1 for combo in itertools.combinations(S, r) if is_admissible(combo, fam))
+            for r in range(len(S) + 1)
+        ]
+        while hist[-1] == 0:
+            hist.pop()
+        assert size_polynomial(S, fam) == tuple(hist), S
+        assert any(pruned), S
+    clear_caches()
+
+
+@pytest.mark.parametrize(
+    "fam, radius, t",
+    [(TWO_FORK, 2, 30), (builtin_family("chain:3"), 2, 18), (TRIANGLE, 1, 24), (MIXED_PATH, 3, 18)],
+    ids=["two-fork", "chain3", "triangle", "mixed-path"],
+)
+def test_memo_keys_hold_only_near_chosen_elements(fam, radius, t):
+    # every memo key, from a split or from the include branch's derived key, keeps
+    # only chosen values within radius steps of an undecided one through chosen ones
+    clear_caches()
+    solve_block(rooted_component(1, t), fam, COUNTING)
+    for rest, chosen in solver._MEMO[fam.family_hash]:
+        near, frontier = set(), set(rest)
+        for _ in range(radius):
+            frontier = {c for c in chosen if c not in near and any(c % a == 0 or a % c == 0 for a in frontier)}
+            near |= frontier
+        assert near == set(chosen), (rest, chosen)
     clear_caches()
 
 
