@@ -244,12 +244,17 @@ class _Search:
             raise ResourceLimitError(
                 f"search budget of {self.limit} nodes exhausted while solving {self.label}"
             )
-        # the most comparable undecided element, ties to the smallest: x is the p-th
-        # undecided element, so its normalized value is rest_values[p]
+        # fail first: the undecided element with the most chosen neighbours, then the
+        # most neighbours in the state, then the smallest. Such an element is often
+        # blocked, a cheap exclude-only node; included, it settles its neighbourhood.
+        # x is the p-th undecided element, so its normalized value is rest_values[p]
         adj = self.adj
         union = rest | chosen
         selectors = _selectors(rest)
-        degrees = list(map(int.bit_count, map(union.__and__, compress(adj, selectors))))
+        nbrs = list(compress(adj, selectors))
+        degrees = list(
+            zip(map(int.bit_count, map(chosen.__and__, nbrs)), map(int.bit_count, map(union.__and__, nbrs)))
+        )
         p = degrees.index(max(degrees))
         x = list(compress(range(len(selectors)), selectors))[p]
         rest2 = rest ^ (1 << x)

@@ -210,6 +210,14 @@ def test_node_limit_raises_resource_error():
     clear_caches()
 
 
+def test_large_block_solves_within_ten_thousand_nodes():
+    # branching on the most constrained element solves {1..60} in 7,470 nodes;
+    # branching on the most comparable one gives the same count after 398,574
+    clear_caches()
+    assert count_admissible(range(1, 61), TWO_FORK, node_limit=10_000) == 271422412615740
+    clear_caches()
+
+
 def test_solve_block_resource_error_names_key():
     clear_caches()
     comp = rooted_component(1, 16)
@@ -248,13 +256,16 @@ def test_one_search_serves_every_mode(monkeypatch):
 @pytest.mark.parametrize(
     "name, d, t, nodes",
     [
-        ("two-fork", 1, 30, 2673),
-        ("two-fork", 6, 60, 4317),
-        ("chain:3", 10, 60, 281),
-        # 29 elements; without pruning the full-set search alone passes 300,000 nodes
-        ("chain:3", 6, 60, 39765),
-        # forest families keep every chosen element, so pruning leaves this count as it was
-        ("forest", 1, 16, 2319),
+        ("two-fork", 1, 30, 978),
+        ("two-fork", 6, 60, 692),
+        ("chain:3", 10, 60, 175),
+        # 29 elements; without pruning the full-set search alone passes 300,000 nodes,
+        # and branching on the most comparable element instead of the most
+        # constrained one takes 39,765
+        ("chain:3", 6, 60, 19718),
+        # forest families keep every chosen element, so only the branching rule moves
+        # this count (2,319 when branching on the most comparable element)
+        ("forest", 1, 16, 2073),
     ],
     ids=["two-fork-1-30", "two-fork-6-60", "chain3-10-60", "chain3-6-60", "forest-1-16"],
 )
@@ -280,9 +291,9 @@ def test_search_tree_is_pinned(monkeypatch, name, d, t, nodes):
 @pytest.mark.parametrize(
     "name, d, t, digest",
     [
-        ("two-fork", 1, 30, "e72db9621565e888a5860cc08e3c038e2c7b8d4d9cc60a5fcec9a4189015e856"),
-        ("two-fork", 6, 60, "c86f57c8946e6b7ed3973024a89cc0dcc847e77648fa9cac5e86f7e573a9a212"),
-        ("chain:3", 10, 60, "f4b221978ab75180239645f64a14932d52a55c0d6045d26a6a8993241e34b522"),
+        ("two-fork", 1, 30, "c3156e659e94ce080fd0a637ab0cdb871677943d293eb6685df4112c44890e4c"),
+        ("two-fork", 6, 60, "813e6937f4fcf73e09ad261a8fda113d344ed5bcbc170c714e326b98721b382a"),
+        ("chain:3", 10, 60, "b1656374dcfec94d3d52946363884dab041d0a9a182715f7c026b301c9e179f3"),
     ],
     ids=["two-fork-1-30", "two-fork-6-60", "chain3-10-60"],
 )
