@@ -20,16 +20,18 @@ import time
 from fractions import Fraction
 
 from .numtheory import RootedComponent, canonical_key, divisor_connected_component, rooted_component
-from .oracle import brute_max_size, exact_reference_series, telescope_check
+from .oracle import exact_reference_series, telescope_check
 from .patterns import AdmissibleFamily, PatternError, builtin_family, family_from_file, is_admissible
 from .series import (
     BlockCache,
     SeriesEstimate,
     TruncationParams,
+    block_weight_exact,
     collect_blocks,
     enumerate_triples,
     evaluate,
     retained_pairs,
+    term_weight_exact,
 )
 from .solver import COUNTING, DENSITY, Mode, ResourceLimitError, local_increment, partition_mode, solve_block
 
@@ -109,8 +111,6 @@ def _reference_estimate(fam: AdmissibleFamily, mode: Mode, params: TruncationPar
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        print("warning: --threads is deprecated and has no effect", file=sys.stderr)
     fam = _parse_family(args.family)
     mode = _parse_mode(args.mode)
     params = TruncationParams(alpha=args.alpha, budget_B=args.budget)
@@ -181,8 +181,8 @@ def _suite_weight_identity(limit: int) -> int:
     checks = 0
     for i in range(1, limit + 1):
         for d in range(1, limit + 1):
-            lhs = sum(Fraction(1, t * (t + 1)) for t in range(i * d, (i + 1) * d))
-            rhs = Fraction(1, i * (i + 1) * d)
+            lhs = sum(term_weight_exact(i, d, t) for t in range(i * d, (i + 1) * d))
+            rhs = block_weight_exact(i, d)
             if lhs != rhs:
                 raise _VerifyFailure(f"weight identity fails at i={i}, d={d}: {lhs} != {rhs}")
             checks += 1
@@ -327,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--alpha", type=float, default=10.0, help="truncation exponent (default 10)")
     bound.add_argument("--budget", type=float, default=1e8, help="truncation budget B (default 1e8)")
     bound.add_argument("--cache", default=None, help="block cache file (TSV, append-only)")
-    bound.add_argument("--threads", type=int, default=None, help="deprecated; has no effect")
     bound.add_argument("--format", choices=("json", "csv"), default="json")
     bound.add_argument(
         "--exact-reference",

@@ -21,10 +21,9 @@ from .patterns import (
     placement_plan,
 )
 from .series import TruncationParams, enumerate_triples, term_weight_exact
-from .solver import COUNTING, DENSITY, Mode, ResourceLimitError, local_increment, max_admissible_size, solve_block
+from .solver import COUNTING, DENSITY, Mode, ResourceLimitError, local_increment, solve_block
 
 EXHAUSTIVE_CAP = 24
-CROSS_MODE_CAP = 60
 
 
 def _divisibility_masks(n: int) -> tuple[list[int], list[int], list[int]]:
@@ -170,17 +169,11 @@ def brute_count(n: int, fam: AdmissibleFamily) -> int:
 
 
 def brute_max_size(n: int, fam: AdmissibleFamily) -> int:
-    """Largest admissible subset size in {1..n}.
-
-    Exhaustive up to n = 24; for 24 < n <= 60 falls back to the exact solver
-    (semi-independent: same answer source as the code under test).
-    """
+    """Largest admissible subset size in {1..n}, by exhaustive scan up to n = 24."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n!r}")
     if n > EXHAUSTIVE_CAP:
-        if n <= CROSS_MODE_CAP:
-            return max_admissible_size(range(1, n + 1), fam)
-        raise ResourceLimitError(f"brute-force maximum is capped at n <= {CROSS_MODE_CAP}, got {n}")
+        raise ResourceLimitError(f"brute-force maximum is capped at n <= {EXHAUSTIVE_CAP}, got {n}")
     checker = _IncrementalChecker(n, fam)
     best = 0
 

@@ -345,16 +345,31 @@ def family_from_json(doc: object, name: str = "custom") -> AdmissibleFamily:
         raise PatternError("'patterns' must be a list")
     for idx, entry in enumerate(raw):
         try:
-            vertices = int(entry["vertices"])
-            edges = tuple((int(e["from"]), int(e["to"]), bool(e["directed"])) for e in entry["edges"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PatternError(f"pattern {idx}: malformed entry ({exc!r})") from exc
-        try:
+            vertices = _json_int(entry["vertices"], "vertices")
+            edges = tuple(
+                (_json_int(e["from"], "from"), _json_int(e["to"], "to"), _json_bool(e["directed"], "directed"))
+                for e in entry["edges"]
+            )
             pats.append(Pattern(vertices, edges))
         except PatternError as exc:
             raise PatternError(f"pattern {idx}: {exc}") from exc
-    forest = bool(doc.get("forest", False))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PatternError(f"pattern {idx}: malformed entry ({exc!r})") from exc
+    forest = _json_bool(doc.get("forest", False), "forest")
     return AdmissibleFamily(name, tuple(pats), forest)
+
+
+def _json_int(value: object, field: str) -> int:
+    # bool is a subclass of int, but a JSON true is not a vertex index
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PatternError(f"'{field}' must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_bool(value: object, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise PatternError(f"'{field}' must be a JSON boolean, got {value!r}")
+    return value
 
 
 def family_from_file(path: str) -> AdmissibleFamily:

@@ -276,7 +276,8 @@ def evaluate(
     The partial sum S is a lower bound for the full series value; the upper bound
     adds M times the unretained coefficient mass plus a float summation allowance.
     Segments come from plan_segments; each pair's contribution is summed over its
-    segments and the reduction over pairs runs sequentially in enumeration order.
+    segments, and the sums over pairs of contributions and of weights are
+    correctly rounded (math.fsum), so they do not depend on the order of pairs.
     The node limit is resolved before the first lookup, so a malformed
     DIVBOUND_NODE_LIMIT fails even when every block comes from the cache.
     """
@@ -284,12 +285,11 @@ def evaluate(
     if cache is None:
         cache = BlockCache(None)
     seen: set[CanonicalKey] = set()
-    s_sum = _Neumaier()
-    w_sum = _Neumaier()
+    contribs: list[float] = []
+    weights: list[float] = []
     magnitude = 0.0
     segments = 0
     terms = 0
-    id_pairs = 0
     for i, d, segs in plan_segments(params):
         acc = 0.0
         for start, end, key in segs:
@@ -300,15 +300,17 @@ def evaluate(
                 # sum of 1/(t(t+1)) over [start, end], telescoped exactly
                 acc += inc * ((end + 1 - start) / (start * (end + 1)))
         contrib = acc * euler_factor(i)
-        s_sum.add(contrib)
-        w_sum.add(block_weight(i, d))
+        contribs.append(contrib)
+        weights.append(block_weight(i, d))
+        # a plain += on purpose: builtin sum compensates from Python 3.12 on, which
+        # would move the slack's last bits between interpreter versions
         magnitude += abs(contrib)
         segments += len(segs)
         terms += d
-        id_pairs += 1
 
-    S = s_sum.total()
-    W = w_sum.total()
+    S = math.fsum(contribs)
+    W = math.fsum(weights)
+    id_pairs = len(contribs)
     eps = sys.float_info.epsilon
     # allowance for every float add/multiply on the S path, scaled by the magnitude
     slack = eps * (3 * segments + 4 * id_pairs) * max(1.0, magnitude)
@@ -328,27 +330,6 @@ def evaluate(
         terms=terms,
         slack=slack,
     )
-
-
-class _Neumaier:
-    """Compensated sequential summation; order-sensitive by design."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, v: float) -> None:
-        t = self.s + v
-        if abs(self.s) >= abs(v):
-            self.c += (self.s - t) + v
-        else:
-            self.c += (v - t) + self.s
-        self.s = t
-
-    def total(self) -> float:
-        return self.s + self.c
 
 
 def collect_blocks(

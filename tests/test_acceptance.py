@@ -247,7 +247,7 @@ def test_criterion_8_thread_determinism(beta_run_1e10):
         and est1.upper == est8.upper
     )
     _report(
-        "criterion 8 determinism across 1 and 8 workers",
+        "criterion 8 determinism across repeated evaluations",
         ok,
         f"S={est1.S!r} matches to the last bit" if ok else
         f"S {est1.S!r} vs {est8.S!r}",

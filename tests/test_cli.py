@@ -106,31 +106,11 @@ def test_bound_csv_projection(capsys):
     assert table["family"] == "two-fork"
 
 
-def test_bound_threads_do_not_change_output(capsys):
-    args = ["bound", "--family", "two-fork", "--mode", "beta", "--budget", "1e5"]
-    code, out1, _ = run_main(capsys, *args, "--threads", "1")
-    assert code == 0
-    clear_caches()
-    code, out4, _ = run_main(capsys, *args, "--threads", "4")
-    assert code == 0
-    d1, d4 = json.loads(out1), json.loads(out4)
-    d1.pop("elapsed_seconds")
-    d4.pop("elapsed_seconds")
-    assert d1 == d4
-
-
-def test_bound_threads_flag_is_deprecated(capsys):
-    args = ["bound", "--family", "two-fork", "--budget", "1e4"]
-    _, out, err = run_main(capsys, *args)
-    assert err == ""
-    clear_caches()
-    code, out_threads, err_threads = run_main(capsys, *args, "--threads", "4")
-    assert code == 0
-    assert "--threads is deprecated" in err_threads
-    d, d_threads = json.loads(out), json.loads(out_threads)
-    d.pop("elapsed_seconds")
-    d_threads.pop("elapsed_seconds")
-    assert d == d_threads
+def test_bound_rejects_removed_threads_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["bound", "--family", "two-fork", "--budget", "1e4", "--threads", "4"])
+    assert info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_bound_budget_monotonicity(capsys):
@@ -218,6 +198,16 @@ def test_bound_invalid_inputs_exit_2(capsys, tmp_path):
     assert run_main(capsys, "bound", "--family", f"file:{bad}")[0] == 2
 
 
+def test_bound_mistyped_pattern_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "fam.json"
+    edge = {"from": 0, "to": 1, "directed": "false"}
+    path.write_text(json.dumps({"patterns": [{"vertices": 2, "edges": [edge]}]}))
+    code, out, err = run_main(capsys, "bound", "--family", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert "pattern 0" in err and "'directed'" in err
+
+
 def test_bound_resource_error_exit_3_names_key(capsys, monkeypatch):
     monkeypatch.setenv("DIVBOUND_NODE_LIMIT", "2")
     code, _, err = run_main(
@@ -290,6 +280,20 @@ def test_verify_quick(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 6
     assert all(": pass" in ln for ln in lines)
+
+
+def test_verify_fails_on_a_wrong_block_weight(capsys, monkeypatch):
+    import divbound.cli as cli
+
+    exact = cli.block_weight_exact
+
+    def wrong_at_3_5(i, d):
+        return 2 * exact(i, d) if (i, d) == (3, 5) else exact(i, d)
+
+    monkeypatch.setattr(cli, "block_weight_exact", wrong_at_3_5)
+    code, out, _ = run_main(capsys, "verify", "--level", "quick")
+    assert code == 1
+    assert out.splitlines()[0].startswith("weight-identity: FAIL: weight identity fails at i=3, d=5")
 
 
 def test_missing_subcommand_exits_2():

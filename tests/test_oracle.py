@@ -5,7 +5,6 @@ import pytest
 
 from divbound.cli import _TELESCOPE_FAMILIES
 from divbound.oracle import (
-    CROSS_MODE_CAP,
     EXHAUSTIVE_CAP,
     brute_count,
     brute_max_size,
@@ -118,14 +117,14 @@ def test_exhaustive_cap_enforced():
     with pytest.raises(ResourceLimitError):
         brute_size_counts(EXHAUSTIVE_CAP + 1, TWO_FORK)
     with pytest.raises(ResourceLimitError):
-        brute_max_size(CROSS_MODE_CAP + 1, TWO_FORK)
+        brute_max_size(EXHAUSTIVE_CAP + 1, TWO_FORK)
 
 
 def test_cross_mode_max_size_above_cap():
-    # 24 < n <= 60 falls back to the exact solver route
-    assert brute_max_size(30, CHAIN2) == 15
+    # above the exhaustive cap only the solver answers
+    assert max_admissible_size(range(1, 31), CHAIN2) == 15
     # strictly beats the ceil(2n/3) interval construction at n = 27
-    assert brute_max_size(27, TWO_FORK) == 19
+    assert max_admissible_size(range(1, 28), TWO_FORK) == 19
     assert 19 >= math.ceil(2 * 27 / 3)
 
 

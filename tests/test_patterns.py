@@ -299,6 +299,46 @@ def test_family_from_json_errors_name_pattern_index():
         family_from_json([1, 2, 3])
 
 
+def _one_edge_doc(**edge_fields):
+    edge = {"from": 0, "to": 1, "directed": True, **edge_fields}
+    return {"patterns": [{"vertices": 2, "edges": [edge]}]}
+
+
+@pytest.mark.parametrize("directed", ["false", "true", 0, 1, None])
+def test_family_from_json_rejects_non_boolean_directed(directed):
+    with pytest.raises(PatternError, match=r"pattern 0: 'directed' must be a JSON boolean"):
+        family_from_json(_one_edge_doc(directed=directed))
+
+
+@pytest.mark.parametrize("field", ["from", "to"])
+@pytest.mark.parametrize("value", [1.9, 1.0, "1", True, None])
+def test_family_from_json_rejects_non_integer_endpoints(field, value):
+    with pytest.raises(PatternError, match=rf"pattern 0: '{field}' must be a JSON integer"):
+        family_from_json(_one_edge_doc(**{field: value}))
+
+
+@pytest.mark.parametrize("vertices", [2.0, "2", True])
+def test_family_from_json_rejects_non_integer_vertex_count(vertices):
+    doc = _one_edge_doc()
+    doc["patterns"][0]["vertices"] = vertices
+    with pytest.raises(PatternError, match=r"pattern 0: 'vertices' must be a JSON integer"):
+        family_from_json(doc)
+
+
+def test_family_from_json_names_the_mistyped_pattern():
+    doc = _one_edge_doc()
+    doc["patterns"].append(_one_edge_doc(to=1.5)["patterns"][0])
+    with pytest.raises(PatternError, match=r"pattern 1: 'to'"):
+        family_from_json(doc)
+
+
+@pytest.mark.parametrize("forest", ["false", 0, 1, None])
+def test_family_from_json_rejects_non_boolean_forest(forest):
+    with pytest.raises(PatternError, match=r"'forest' must be a JSON boolean"):
+        family_from_json({"patterns": [], "forest": forest})
+    assert family_from_json({"patterns": [], "forest": True}).forbid_cycles
+
+
 def test_mixed_family_conjunction():
     mixed = AdmissibleFamily("mixed", (chain(3),), forbid_cycles=True)
     assert not is_admissible({2, 4, 8}, mixed)  # 3-chain

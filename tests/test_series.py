@@ -199,6 +199,25 @@ def test_thread_counts_produce_identical_bits():
     assert one.upper == four.upper
 
 
+@pytest.mark.parametrize(
+    "family, mode, S, upper, slack",
+    [
+        ("two-fork", COUNTING, "0x1.131d38f395e32p-1", "0x1.4fad8ffdb4ae4p-1", "0x1.5e80000000000p-43"),
+        ("chain:3", partition_mode(2), "0x1.c31d1fe47c555p-1", "0x1.118d7606937f9p+0", "0x1.5e80000000000p-43"),
+        # S > 1, so the magnitude factor of the slack is above one
+        ("chain:2", partition_mode(10), "0x1.5521f01531c45p+0", "0x1.bde40a3261d6ap+0", "0x1.d30ef73504a36p-43"),
+    ],
+)
+def test_reduction_bits_are_pinned(family, mode, S, upper, slack):
+    est = evaluate(builtin_family(family), mode, TruncationParams(10.0, 1e8))
+    assert est.id_pairs == 92
+    assert est.W.hex() == "0x1.a89ff72fc0dbfp-1"
+    assert est.S.hex() == S
+    assert est.lower.hex() == S
+    assert est.upper.hex() == upper
+    assert est.slack.hex() == slack
+
+
 def test_evaluate_matches_exact_reference():
     from divbound.oracle import exact_reference_series
 
