@@ -83,15 +83,33 @@ class Pattern:
 
     @cached_property
     def diameter(self) -> int:
-        """Largest distance between two vertices, edge directions ignored. Each edge
-        maps to a divisibility, so every element of a copy lies within this many
-        divisor-graph steps of every other, each step inside the copy."""
-        nbrs = [set() for _ in range(self.vertex_count)]
+        """Diameter of the comparability closure: the pattern plus an edge u-w for
+        every directed path from u to w (undirected edges do not compose), then the
+        largest distance between two vertices, edge directions ignored.
+
+        Proper divisibility is transitive, so in any copy the image of u properly
+        divides the image of w along such a path: closure edges map to divisor-graph
+        edges inside the copy, just as pattern edges do. A shortest closure path from
+        a chosen element of a copy to the copy's nearest undecided element therefore
+        has at most this many steps, each into a chosen element, which is what the
+        solver's relevance pruning keeps. A chain is a clique of its closure, so
+        chain:k gives 1."""
+        v = self.vertex_count
+        below = [set() for _ in range(v)]  # below[u]: vertices with a directed path to u
+        for _ in range(v):
+            for a, b, directed in self.edges:
+                if directed:
+                    below[b] |= below[a] | {a}
+        nbrs = [set() for _ in range(v)]
         for a, b, _ in self.edges:
             nbrs[a].add(b)
             nbrs[b].add(a)
+        for w in range(v):
+            for u in below[w]:
+                nbrs[u].add(w)
+                nbrs[w].add(u)
         longest = 0
-        for start in range(self.vertex_count):
+        for start in range(v):
             seen = {start}
             frontier = {start}
             steps = 0
@@ -339,24 +357,38 @@ def family_from_json(doc: object, name: str = "custom") -> AdmissibleFamily:
     """
     if not isinstance(doc, dict):
         raise PatternError("pattern file must contain a JSON object")
+    # a misspelled key would otherwise drop what it names: {"pattern": [...]} would
+    # load as a family with no patterns, under which every set is admissible
+    _known_keys(doc, ("patterns", "forest"), "pattern file")
     pats = []
     raw = doc.get("patterns", [])
     if not isinstance(raw, list):
         raise PatternError("'patterns' must be a list")
     for idx, entry in enumerate(raw):
         try:
+            _known_keys(entry, ("vertices", "edges"), "pattern")
             vertices = _json_int(entry["vertices"], "vertices")
-            edges = tuple(
-                (_json_int(e["from"], "from"), _json_int(e["to"], "to"), _json_bool(e["directed"], "directed"))
-                for e in entry["edges"]
-            )
-            pats.append(Pattern(vertices, edges))
+            edges = []
+            for k, e in enumerate(entry["edges"]):
+                _known_keys(e, ("from", "to", "directed"), f"edge {k}")
+                edges.append(
+                    (_json_int(e["from"], "from"), _json_int(e["to"], "to"), _json_bool(e["directed"], "directed"))
+                )
+            pats.append(Pattern(vertices, tuple(edges)))
         except PatternError as exc:
             raise PatternError(f"pattern {idx}: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise PatternError(f"pattern {idx}: malformed entry ({exc!r})") from exc
     forest = _json_bool(doc.get("forest", False), "forest")
     return AdmissibleFamily(name, tuple(pats), forest)
+
+
+def _known_keys(obj: object, allowed: tuple[str, ...], where: str) -> None:
+    if isinstance(obj, dict):
+        for key in obj:
+            if key not in allowed:
+                expected = ", ".join(repr(k) for k in allowed)
+                raise PatternError(f"unknown key {key!r} in {where} (expected {expected})")
 
 
 def _json_int(value: object, field: str) -> int:

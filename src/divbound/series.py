@@ -223,6 +223,12 @@ class BlockCache:
         *,
         node_limit: int | None = None,
     ) -> BlockRecord:
+        """The record of key, from memory, from a loaded line, or solved and appended.
+
+        The key's elements are taken as a component without re-checking that they
+        are divisor-connected: every key that evaluate and collect_blocks meet is
+        the canonical_key of a rooted_component, connected by construction, and the
+        size polynomial is exact for any element set."""
         map_key = (fam.family_hash, mode.tag, key)
         rec = self._records.get(map_key)
         if rec is None and self._lines:
@@ -230,10 +236,8 @@ class BlockCache:
         if rec is not None:
             self.hits += 1
             return rec
-        component = RootedComponent(
-            elements=key.normalized_elements,
-            root_index=key.normalized_elements.index(key.root_value),
-        )
+        elements = key.normalized_elements
+        component = RootedComponent._connected(elements, elements.index(key.root_value))
         rec = self._records[map_key] = solve_block(component, fam, mode, node_limit=node_limit)
         self.misses += 1
         self._append(fam.family_hash, mode.tag, rec)

@@ -163,12 +163,13 @@ class _Search:
     elements comparable to element j under divisibility, built once per search.
 
     A new forbidden copy holds an undecided element x and is connected, so it lies
-    within radius steps of x, the largest pattern diameter (at least 1). A chosen
-    element farther than that from every undecided one, along steps through chosen
-    elements, is in no future copy and is dropped from the state; forest families
-    keep every chosen element, since a cycle has no bounded length. A memo key holds
-    one divisor-graph component of the pruned state: its undecided values and its
-    kept chosen values, each divided by the component's gcd (dilation invariance).
+    within radius steps of x: the largest Pattern.diameter, taken on the pattern's
+    comparability closure (at least 1; 1 for every chain). A chosen element farther
+    than that from every undecided one, along steps through chosen elements, is in
+    no future copy and is dropped from the state; forest families keep every chosen
+    element, since a cycle has no bounded length. A memo key holds one divisor-graph
+    component of the pruned state: its undecided values and its kept chosen values,
+    each divided by the component's gcd (dilation invariance).
     Keys are per family, shared by every mode, and the memo is insert-only.
     """
 
@@ -383,7 +384,8 @@ def local_increment(rec: BlockRecord, mode: Mode) -> int | float:
     if mode.kind == "counting":
         if rec.count_full is None or rec.count_deleted is None:
             raise ValueError("record lacks counting fields")
-        return math.log(Fraction(rec.count_full, rec.count_deleted))
+        # int / int rounds the exact ratio correctly: the float a Fraction would give
+        return math.log(rec.count_full / rec.count_deleted)
     if rec.partition_full is None or rec.partition_deleted is None:
         raise ValueError("record lacks partition fields")
     return math.log(rec.partition_full / rec.partition_deleted)

@@ -208,6 +208,16 @@ def test_bound_mistyped_pattern_file_exits_2(capsys, tmp_path):
     assert "pattern 0" in err and "'directed'" in err
 
 
+def test_bound_misspelled_pattern_file_key_exits_2(capsys, tmp_path):
+    path = tmp_path / "fam.json"
+    edges = [{"from": 0, "to": 1, "directed": True}, {"from": 0, "to": 2, "directed": True}]
+    path.write_text(json.dumps({"pattern": [{"vertices": 3, "edges": edges}]}))
+    code, out, err = run_main(capsys, "bound", "--family", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert "'pattern'" in err
+
+
 def test_bound_resource_error_exit_3_names_key(capsys, monkeypatch):
     monkeypatch.setenv("DIVBOUND_NODE_LIMIT", "2")
     code, _, err = run_main(

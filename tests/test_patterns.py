@@ -191,11 +191,17 @@ def test_incremental_consistency_random():
 
 
 def test_pattern_diameter_ignores_directions():
-    assert [chain(k).diameter for k in (2, 3, 5)] == [1, 2, 4]
+    # the diameter of the comparability closure, whose distances ignore directions:
+    # a directed path u -> ... -> w adds the edge u-w, so every chain is a clique
+    assert [chain(k).diameter for k in (2, 3, 4, 5)] == [1, 1, 1, 1]
     assert r_fork(4).diameter == in_fork(3).diameter == 2
     assert Pattern(1, ()).diameter == 0
-    # a zigzag path: 0 -> 1 <- 2 - 3
+    # a zigzag path: 0 -> 1 <- 2 - 3, and the fence 0 -> 1 <- 2 -> 3 <- 4: no
+    # directed path has two edges, so the closure adds nothing
     assert Pattern(4, ((0, 1, True), (2, 1, True), (2, 3, False))).diameter == 3
+    assert Pattern(5, ((0, 1, True), (2, 1, True), (2, 3, True), (4, 3, True))).diameter == 4
+    # 0 -> 1 -> 2 - 3: the closure adds 0-2 but no 0-3, as undirected edges do not compose
+    assert Pattern(4, ((0, 1, True), (1, 2, True), (2, 3, False))).diameter == 2
 
 
 def test_fork_leaves_share_one_placement_plan():
@@ -330,6 +336,22 @@ def test_family_from_json_names_the_mistyped_pattern():
     doc["patterns"].append(_one_edge_doc(to=1.5)["patterns"][0])
     with pytest.raises(PatternError, match=r"pattern 1: 'to'"):
         family_from_json(doc)
+
+
+def test_family_from_json_rejects_unknown_keys():
+    # a misspelled "patterns" used to load as an empty family, admitting every set
+    with pytest.raises(PatternError, match=r"unknown key 'pattern' in pattern file"):
+        family_from_json({"pattern": _one_edge_doc()["patterns"]})
+    with pytest.raises(PatternError, match=r"unknown key 'comment' in pattern file"):
+        family_from_json({**_one_edge_doc(), "comment": "two vertices"})
+    doc = _one_edge_doc()
+    doc["patterns"].append({**doc["patterns"][0], "vertex": 2})
+    with pytest.raises(PatternError, match=r"pattern 1: unknown key 'vertex' in pattern"):
+        family_from_json(doc)
+    doc = _one_edge_doc(dir=True)
+    with pytest.raises(PatternError, match=r"pattern 0: unknown key 'dir' in edge 0"):
+        family_from_json(doc)
+    assert family_from_json({}).patterns == ()
 
 
 @pytest.mark.parametrize("forest", ["false", 0, 1, None])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from divbound import numtheory
 from divbound.numtheory import canonical_key, rooted_component
 from divbound.patterns import builtin_family
 from divbound.series import (
@@ -21,7 +22,7 @@ from divbound.series import (
     retained_pairs,
     term_weight_exact,
 )
-from divbound.solver import COUNTING, DENSITY, ResourceLimitError, clear_caches, partition_mode
+from divbound.solver import COUNTING, DENSITY, ResourceLimitError, clear_caches, local_increment, partition_mode
 
 TWO_FORK = builtin_family("two-fork")
 CHAIN2 = builtin_family("chain:2")
@@ -189,16 +190,6 @@ def test_monotone_refinement_in_budget():
             prev = est
 
 
-def test_thread_counts_produce_identical_bits():
-    params = TruncationParams(10.0, 1e5)
-    one = evaluate(TWO_FORK, COUNTING, params)
-    four = evaluate(TWO_FORK, COUNTING, params)
-    assert one.S == four.S
-    assert one.W == four.W
-    assert one.lower == four.lower
-    assert one.upper == four.upper
-
-
 @pytest.mark.parametrize(
     "family, mode, S, upper, slack",
     [
@@ -245,6 +236,32 @@ def test_malformed_node_limit_fails_on_a_filled_cache(monkeypatch):
         with pytest.raises(ValueError, match="DIVBOUND_NODE_LIMIT must be a positive integer"):
             run(TWO_FORK, DENSITY, params, cache)
     assert cache.misses == len(cache)
+
+
+def test_cold_evaluate_skips_connectivity_checks(monkeypatch):
+    # every key evaluate meets comes from rooted_component, connected by search, so
+    # a cache miss builds its component without the O(n^2) re-check
+    calls = []
+    real = numtheory.divisor_connected_component
+    monkeypatch.setattr(numtheory, "divisor_connected_component", lambda *a: calls.append(a) or real(*a))
+    clear_caches()
+    cache = BlockCache(None)
+    est = evaluate(builtin_family("chain:3"), COUNTING, TruncationParams(10.0, 1e8), cache)
+    assert cache.misses == est.blocks > 20
+    assert calls == []
+    clear_caches()
+
+
+def test_counting_increment_needs_no_fraction():
+    # math.log takes a Fraction through the same correctly rounded integer division
+    # that count_full / count_deleted performs, so both forms give the same bits
+    cache = BlockCache(None)
+    evaluate(TWO_FORK, COUNTING, TruncationParams(10.0, 1e8), cache)
+    records = list(cache._records.values())
+    assert len(records) > 20
+    for rec in records:
+        ratio = Fraction(rec.count_full, rec.count_deleted)
+        assert local_increment(rec, COUNTING) == math.log(ratio), rec.key
 
 
 def test_cache_hit_avoids_resolve():

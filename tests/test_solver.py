@@ -258,11 +258,11 @@ def test_one_search_serves_every_mode(monkeypatch):
     [
         ("two-fork", 1, 30, 978),
         ("two-fork", 6, 60, 692),
-        ("chain:3", 10, 60, 175),
+        ("chain:3", 10, 60, 68),
         # 29 elements; without pruning the full-set search alone passes 300,000 nodes,
-        # and branching on the most comparable element instead of the most
-        # constrained one takes 39,765
-        ("chain:3", 6, 60, 19718),
+        # radius 2 (the undirected diameter) instead of the closure's 1 takes 19,718,
+        # and branching on the most comparable element at radius 2 takes 39,765
+        ("chain:3", 6, 60, 2459),
         # forest families keep every chosen element, so only the branching rule moves
         # this count (2,319 when branching on the most comparable element)
         ("forest", 1, 16, 2073),
@@ -293,7 +293,7 @@ def test_search_tree_is_pinned(monkeypatch, name, d, t, nodes):
     [
         ("two-fork", 1, 30, "c3156e659e94ce080fd0a637ab0cdb871677943d293eb6685df4112c44890e4c"),
         ("two-fork", 6, 60, "813e6937f4fcf73e09ad261a8fda113d344ed5bcbc170c714e326b98721b382a"),
-        ("chain:3", 10, 60, "b1656374dcfec94d3d52946363884dab041d0a9a182715f7c026b301c9e179f3"),
+        ("chain:3", 10, 60, "f181d3901426f83e7fbf764bf078e12584a7d1ff61afab6ac7db6ca557e39db6"),
     ],
     ids=["two-fork-1-30", "two-fork-6-60", "chain3-10-60"],
 )
@@ -343,8 +343,9 @@ MIXED_PATH = family_from_json(
     },
     "mixed-path",
 )
-# chain:3 (diameter 2) and the fence a|b, c|b, c|d, e|d (diameter 4): a radius of 2
-# misses fence copies on the semiprime set below
+# chain:3 (closure diameter 1) and the fence a|b, c|b, c|d, e|d (diameter 4, as no
+# directed path has two edges): a radius of 2 misses fence copies on the semiprime
+# set below
 CHAIN_AND_FENCE = family_from_json(
     {
         "patterns": [
@@ -367,8 +368,8 @@ CHAIN_AND_FENCE = family_from_json(
 )
 
 
-# three pairwise comparable elements: chain:3's sets with diameter 1 instead of 2,
-# so an included element with no undecided neighbour is dropped at once
+# three pairwise comparable elements: the undirected twin of chain:3, with the
+# same sets and the same radius 1 (chain:3's through its closure)
 TRIANGLE = family_from_json(
     {
         "patterns": [
@@ -382,19 +383,39 @@ TRIANGLE = family_from_json(
 )
 
 
+# a|b|c plus an undirected edge c-d: the closure adds a-c, so a copy reaches two
+# steps (a to d through c), not the path's three
+CHAIN_THEN_EDGE = family_from_json(
+    {
+        "patterns": [
+            {
+                "vertices": 4,
+                "edges": [
+                    {"from": 0, "to": 1, "directed": True},
+                    {"from": 1, "to": 2, "directed": True},
+                    {"from": 2, "to": 3, "directed": False},
+                ],
+            }
+        ]
+    },
+    "chain-then-edge",
+)
+
+
 @pytest.mark.parametrize(
     "fam, radius",
     [
-        (builtin_family("chain:4"), 3),
+        (builtin_family("chain:4"), 1),
         (builtin_family("r-fork:3"), 2),
         (MIXED_PATH, 3),
         (CHAIN_AND_FENCE, 4),
         (TRIANGLE, 1),
+        (CHAIN_THEN_EDGE, 2),
     ],
-    ids=["chain4", "r-fork3", "mixed-path", "chain-and-fence", "triangle"],
+    ids=["chain4", "r-fork3", "mixed-path", "chain-and-fence", "triangle", "chain-then-edge"],
 )
 def test_pruned_search_matches_enumeration(monkeypatch, fam, radius):
-    # the search drops chosen elements farther than the largest pattern diameter
+    # the search drops chosen elements farther than the largest closure diameter
     # from every undecided one; the reference enumerates with is_admissible alone
     pruned = []
     real = solver._Search._near
@@ -427,7 +448,7 @@ def test_pruned_search_matches_enumeration(monkeypatch, fam, radius):
 
 @pytest.mark.parametrize(
     "fam, radius, t",
-    [(TWO_FORK, 2, 30), (builtin_family("chain:3"), 2, 18), (TRIANGLE, 1, 24), (MIXED_PATH, 3, 18)],
+    [(TWO_FORK, 2, 30), (builtin_family("chain:3"), 1, 18), (TRIANGLE, 1, 24), (MIXED_PATH, 3, 18)],
     ids=["two-fork", "chain3", "triangle", "mixed-path"],
 )
 def test_memo_keys_hold_only_near_chosen_elements(fam, radius, t):
