@@ -9,25 +9,6 @@ from math import gcd
 from typing import Iterator
 
 
-def largest_prime_factor(d: int) -> int:
-    """Largest prime dividing d; by convention 1 for d = 1."""
-    if d < 1:
-        raise ValueError(f"expected a positive integer, got {d!r}")
-    best = 1
-    if d % 2 == 0:
-        best = 2
-        while d % 2 == 0:
-            d //= 2
-    p = 3
-    while p * p <= d:
-        if d % p == 0:
-            best = p
-            while d % p == 0:
-                d //= p
-        p += 2
-    return d if d > 1 else best
-
-
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n, by byte sieve."""
     if n < 2:

@@ -349,15 +349,18 @@ def solve_block(
     """Solve one rooted component in canonical form, returning the mode's value pair.
 
     The component is normalized first, so scaled copies produce identical records, and
-    a later solve in another mode is answered from the memo. Resource errors are
-    re-raised with the canonical key attached.
+    a later solve in another mode is answered from the memo. One search, under one node
+    budget, values both the full set and the set without the root; the second is
+    usually answered from the states the first memoized. Resource errors are re-raised
+    with the canonical key attached.
     """
     key = canonical_key(c)
     full = key.normalized_elements
-    deleted = tuple(v for v in full if v != key.root_value)
+    search = _Search(fam, full, resolve_node_limit(node_limit), f"{fam.name} on {len(full)} elements")
+    everything = (1 << len(full)) - 1
     try:
-        pf = size_polynomial(full, fam, node_limit=node_limit)
-        pd = size_polynomial(deleted, fam, node_limit=node_limit)
+        pf = search.value(everything, 0)
+        pd = search.value(everything ^ (1 << c.root_index), 0)
     except ResourceLimitError as exc:
         raise ResourceLimitError(
             f"{exc} [component {','.join(map(str, full))} root {key.root_value}]", key=key

@@ -113,6 +113,15 @@ def test_bound_rejects_removed_threads_flag(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_bound_rejects_removed_exact_reference_flag(capsys):
+    # verify's float-vs-rational suite and divbound.exact_reference_series are the
+    # exact reference; bound always prints evaluate's bracket
+    with pytest.raises(SystemExit) as info:
+        main(["bound", "--family", "two-fork", "--budget", "1e3", "--exact-reference"])
+    assert info.value.code == 2
+    assert "--exact-reference" in capsys.readouterr().err
+
+
 def test_bound_budget_monotonicity(capsys):
     docs = []
     for budget in ("10", "1e3", "1e5"):
@@ -123,27 +132,6 @@ def test_bound_budget_monotonicity(capsys):
     for a, b in zip(docs, docs[1:]):
         assert a["lower"] <= b["lower"] + 1e-15
         assert a["upper"] >= b["upper"] - 1e-15
-
-
-def test_bound_exact_reference_matches_float_path(capsys):
-    args = ["bound", "--family", "two-fork", "--budget", "1e3"]
-    _, out_float, _ = run_main(capsys, *args)
-    _, out_exact, _ = run_main(capsys, *args, "--exact-reference")
-    f, e = json.loads(out_float), json.loads(out_exact)
-    assert f["S"] == pytest.approx(e["S"], abs=1e-9)
-    assert f["W"] == pytest.approx(e["W"], abs=1e-9)
-    assert e["slack"] == 0.0
-    assert f["terms"] == e["terms"]
-    assert f["blocks"] == e["blocks"]
-
-
-def test_bound_exact_reference_rejects_large_budget(capsys):
-    code, _, err = run_main(
-        capsys, "bound", "--family", "two-fork", "--budget", "1e6",
-        "--exact-reference",
-    )
-    assert code == 2
-    assert "error" in err
 
 
 def test_bound_cache_file_round_trip(capsys, tmp_path):
@@ -304,6 +292,24 @@ def test_verify_fails_on_a_wrong_block_weight(capsys, monkeypatch):
     code, out, _ = run_main(capsys, "verify", "--level", "quick")
     assert code == 1
     assert out.splitlines()[0].startswith("weight-identity: FAIL: weight identity fails at i=3, d=5")
+
+
+def test_verify_fails_on_a_wrong_retained_mass(capsys, monkeypatch):
+    import divbound.series as series
+
+    real = series.block_weight
+
+    # (3, 4) is retained from B = 4 * 3**10 on, so the first budget to show it is 1e6
+    def wrong_at_3_4(i, d):
+        return 2 * real(i, d) if (i, d) == (3, 4) else real(i, d)
+
+    monkeypatch.setattr(series, "block_weight", wrong_at_3_4)
+    code, out, _ = run_main(capsys, "verify", "--level", "quick")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("weight-identity: pass")
+    assert lines[1].startswith("mass-normalization: FAIL: W = ")
+    assert "at B=1000000.0" in lines[1]
 
 
 def test_missing_subcommand_exits_2():

@@ -9,24 +9,18 @@ from divbound.numtheory import (
     RootedComponent,
     canonical_key,
     divisor_connected_component,
-    largest_prime_factor,
     primes_up_to,
     rooted_component,
     smooth_numbers,
 )
 
 
-def test_largest_prime_factor_small_values():
-    assert largest_prime_factor(1) == 1
-    assert largest_prime_factor(12) == 3
-    assert largest_prime_factor(97) == 97
-    assert largest_prime_factor(2 ** 40) == 2
-    assert largest_prime_factor(3 * 5 * 7) == 7
-
-
-def test_largest_prime_factor_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        largest_prime_factor(0)
+def _is_smooth(d, i):
+    """No prime factor of d exceeds i, by trial division with the primes up to i."""
+    for p in primes_up_to(i):
+        while d % p == 0:
+            d //= p
+    return d == 1
 
 
 def test_primes_up_to():
@@ -43,7 +37,7 @@ def test_smooth_numbers_examples():
 
 def test_smooth_numbers_matches_trial_division():
     for i in (2, 3, 5, 7):
-        expected = [d for d in range(1, 201) if largest_prime_factor(d) <= i]
+        expected = [d for d in range(1, 201) if _is_smooth(d, i)]
         assert list(smooth_numbers(i, 200)) == expected
 
 
@@ -52,7 +46,7 @@ def test_smooth_numbers_ascending_and_lazy():
     first = [next(gen) for _ in range(12)]
     assert first == sorted(first)
     assert first[0] == 1
-    assert all(largest_prime_factor(d) <= 5 for d in first[1:])
+    assert all(_is_smooth(d, 5) for d in first[1:])
 
 
 def test_rooted_component_examples():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from divbound import numtheory
-from divbound.numtheory import canonical_key, rooted_component
+from divbound.numtheory import canonical_key, primes_up_to, rooted_component
 from divbound.patterns import builtin_family
 from divbound.series import (
     BlockCache,
@@ -90,9 +90,16 @@ def test_weight_identity_small_range():
 
 
 def test_mass_normalization_identity():
-    for I in range(1, 31):
-        total = sum(Fraction(1, i * (i + 1)) for i in range(1, I + 1))
-        assert total == Fraction(I, I + 1)
+    # W is evaluate's correctly rounded sum of the retained block weights: within
+    # 4 ulps of the exact sum, below 1, and never falling as B grows
+    previous = 0.0
+    for budget in (1.0, 1e2, 1e4, 1e6, 1e8):
+        params = TruncationParams(10.0, budget)
+        W = evaluate(CHAIN2, DENSITY, params).W
+        exact = sum((block_weight_exact(i, d) for i, d in retained_pairs(params)), Fraction(0))
+        assert abs(Fraction(W) - exact) <= 4 * Fraction(math.ulp(float(exact))), budget
+        assert previous <= W < 1.0, budget
+        previous = W
 
 
 def test_enumerate_triples_examples():
@@ -105,10 +112,15 @@ def test_enumerate_triples_order_and_membership():
     params = TruncationParams(3.0, 500.0)
     triples = list(enumerate_triples(params))
     assert triples == sorted(triples)
-    from divbound.numtheory import largest_prime_factor
+
+    def smooth(d, i):
+        for p in primes_up_to(i):
+            while d % p == 0:
+                d //= p
+        return d == 1
 
     for i, d, t in triples:
-        assert largest_prime_factor(d) <= i
+        assert smooth(d, i)
         assert i * d <= t < (i + 1) * d
         assert d * i ** 3 <= 500
     # no retained triple missing: rebuild directly
@@ -116,7 +128,7 @@ def test_enumerate_triples_order_and_membership():
     i = 1
     while d_max := int(500 / i ** 3) if i ** 3 <= 500 else 0:
         for d in range(1, d_max + 1):
-            if largest_prime_factor(d) <= i:
+            if smooth(d, i):
                 direct.extend((i, d, t) for t in range(i * d, (i + 1) * d))
         i += 1
     assert triples == direct
@@ -218,6 +230,10 @@ def test_evaluate_matches_exact_reference():
         S_ref, W_ref = exact_reference_series(TWO_FORK, DENSITY, params)
         assert est.S == pytest.approx(float(S_ref), abs=1e-9)
         assert est.W == pytest.approx(float(W_ref), abs=1e-9)
+        # blocks and terms, counted per triple outside the segment planner
+        triples = list(enumerate_triples(params))
+        assert est.blocks == len({canonical_key(rooted_component(d, t)) for _, d, t in triples})
+        assert est.terms == len(triples)
 
 
 def test_evaluate_aborts_on_resource_error():

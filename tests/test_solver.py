@@ -228,6 +228,30 @@ def test_solve_block_resource_error_names_key():
     clear_caches()
 
 
+def test_solve_block_builds_one_search(monkeypatch):
+    # the root-deleted set is valued by the full set's search, under its node budget
+    clear_caches()
+    built = []
+
+    class Counted(solver._Search):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(solver, "_Search", Counted)
+    comp = rooted_component(2, 40)
+    rec = solve_block(comp, TWO_FORK, COUNTING)
+    assert len(built) == 1
+    deleted = [v for v in comp.elements if v != comp.root]
+    assert (rec.count_full, rec.count_deleted) == (
+        count_admissible(comp.elements, TWO_FORK),
+        count_admissible(deleted, TWO_FORK),
+    )
+    clear_caches()
+
+
 def test_one_search_serves_every_mode(monkeypatch):
     clear_caches()
     calls = []
