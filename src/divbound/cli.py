@@ -243,6 +243,8 @@ def _suite_cache_robustness() -> int:
             # the family's own hash and a key the run looks up, with a size pair
             # no block can have (the root adds at most one element)
             f"{fam.family_hash}\tdensity\t1\t1\t3\t1\t-\t-",
+            # the same key with negative sizes, whose difference alone is in range
+            f"{fam.family_hash}\tdensity\t1\t1\t-1\t-1\t-\t-",
         ]
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in lines)

@@ -5,8 +5,10 @@ The truncation keeps triples with d * i**alpha <= budget_B, P+(d) <= i and
 t in [i*d, (i+1)*d). Within one (i, d) pair the rooted component of d in [d, t]
 can only change when t arrives at an element of the widest component, so
 plan_segments cuts the t-range into constant-component segments whose weight
-sums telescope exactly; evaluate and collect_blocks both consume that plan. The
-per-triple stream is still exposed for small budgets and testing.
+sums telescope exactly; evaluate and collect_blocks both consume that plan. A
+pair's plan depends on (i, d) alone, so each pair is planned once per process and
+shared by every family, mode and budget. The per-triple stream is still exposed
+for small budgets and testing.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ class BlockCache:
                     family_hash, mode_tag, elems_csv, root_s, pf, pd, qf, qd = line.split("\t")
                     if mode_tag == "density":
                         full, deleted = int(pf), int(pd)
-                        if not 0 <= full - deleted <= 1:
+                        if not 0 <= deleted <= full <= deleted + 1:
                             raise ValueError("size pair out of range")
                     elif mode_tag == "counting":
                         full, deleted = int(qf), int(qd)
@@ -248,23 +250,33 @@ class BlockCache:
         return len(self._records) + len(self._lines)
 
 
-def plan_segments(params: TruncationParams) -> Iterator[tuple[int, int, list[tuple[int, int, CanonicalKey]]]]:
-    """Yield (i, d, [(start, end, key), ...]) for every retained pair, in order.
+def plan_segments(params: TruncationParams) -> Iterator[tuple[int, int, tuple[tuple[int, int, CanonicalKey], ...]]]:
+    """Yield (i, d, ((start, end, key), ...)) for every retained pair, in order.
 
     Each (start, end, key) covers the maximal t-subrange [start, end] of
     [i*d, (i+1)*d - 1] on which the rooted component of d in [d, t] is constant,
-    with key its canonical form. The component C(d, t) is monotone in t and any
-    change at t puts t itself inside the new component, so changes can only
-    happen when t reaches an element of the widest component C(d, t_hi); the last
-    segment therefore has the widest component itself.
+    with key its canonical form. A pair's plan depends on (i, d) alone, so each
+    pair is planned once per process and shared by every family, mode and budget.
     """
     for i, d in retained_pairs(params):
-        t_lo, t_hi = i * d, (i + 1) * d - 1
-        widest = rooted_component(d, t_hi)
-        starts = [t_lo] + [v for v in widest.elements if t_lo < v <= t_hi]
-        ends = [s - 1 for s in starts[1:]] + [t_hi]
-        comps = [rooted_component(d, s) for s in starts[:-1]] + [widest]
-        yield i, d, [(s, e, canonical_key(c)) for s, e, c in zip(starts, ends, comps)]
+        yield i, d, _pair_segments(i, d)
+
+
+@lru_cache(maxsize=None)
+def _pair_segments(i: int, d: int) -> tuple[tuple[int, int, CanonicalKey], ...]:
+    """The segments of one (i, d) pair, as plan_segments yields them.
+
+    The component C(d, t) is monotone in t and any change at t puts t itself
+    inside the new component, so changes can only happen when t reaches an
+    element of the widest component C(d, t_hi); the last segment therefore has
+    the widest component itself.
+    """
+    t_lo, t_hi = i * d, (i + 1) * d - 1
+    widest = rooted_component(d, t_hi)
+    starts = [t_lo] + [v for v in widest.elements if t_lo < v <= t_hi]
+    ends = [s - 1 for s in starts[1:]] + [t_hi]
+    comps = [rooted_component(d, s) for s in starts[:-1]] + [widest]
+    return tuple((s, e, canonical_key(c)) for s, e, c in zip(starts, ends, comps))
 
 
 def evaluate(

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from divbound import numtheory
+from divbound import numtheory, series
 from divbound.numtheory import canonical_key, primes_up_to, rooted_component
 from divbound.patterns import builtin_family
 from divbound.series import (
@@ -466,10 +466,15 @@ def test_cache_skips_out_of_range_pairs(tmp_path, caplog):
     path = tmp_path / "blocks.tsv"
     with open(path, "w") as fh:
         for mode, rec in _solved_blocks():
-            deleted = _pair(mode, rec)[1]
+            full, deleted = _pair(mode, rec)
             # the root adds at most one element, and at most doubles the count
-            pair = (deleted + 2, deleted) if mode is DENSITY else (2 * deleted + 1, deleted)
-            fh.write(_line(mode, _csv(rec.key.normalized_elements), str(rec.key.root_value), pair))
+            pairs = [(deleted + 2, deleted) if mode is DENSITY else (2 * deleted + 1, deleted)]
+            if mode is DENSITY:
+                # no size is negative, though this difference is in range and
+                # flips the block's increment between 0 and 1
+                pairs.append((-3 - (full - deleted), -4))
+            for pair in pairs:
+                fh.write(_line(mode, _csv(rec.key.normalized_elements), str(rec.key.root_value), pair))
     lines = len(open(path).read().splitlines())
     with caplog.at_level(logging.WARNING):
         warm, cache = _run(str(path))
@@ -546,8 +551,6 @@ def test_series_estimate_is_frozen():
 
 
 def test_each_block_is_solved_once(monkeypatch):
-    import divbound.series as series
-
     clear_caches()
     calls = 0
     solve = series.solve_block
@@ -562,3 +565,29 @@ def test_each_block_is_solved_once(monkeypatch):
     # at B=1e8 (29 blocks) a thread pool racing on shared keys solved some twice
     est = evaluate(TWO_FORK, COUNTING, TruncationParams(10.0, 1e8), cache)
     assert calls == cache.misses == est.blocks
+
+
+def test_pair_plans_are_reused_across_evaluations(monkeypatch):
+    evaluate(TWO_FORK, COUNTING, TruncationParams(10.0, 1e8))
+    calls = []
+    real = series.rooted_component
+    monkeypatch.setattr(series, "rooted_component", lambda *a: calls.append(a) or real(*a))
+    # every pair retained at 1e6 is retained at 1e8, whatever the family and mode
+    evaluate(CHAIN2, DENSITY, TruncationParams(10.0, 1e6))
+    collect_blocks(CHAIN2, DENSITY, TruncationParams(10.0, 1e6))
+    assert calls == []
+
+
+def _bits(est: SeriesEstimate) -> dict:
+    return {name: v.hex() if isinstance(v, float) else v for name, v in vars(est).items()}
+
+
+@pytest.mark.parametrize("fam, mode", [(CHAIN2, DENSITY), (TWO_FORK, COUNTING)], ids=["chain2-density", "twofork-beta"])
+def test_reused_plans_give_the_same_bits(fam, mode):
+    budgets = [10.0**k for k in range(2, 9)]
+    cache = BlockCache(None)
+    series._pair_segments.cache_clear()
+    swept = [evaluate(fam, mode, TruncationParams(10.0, b), cache) for b in budgets]
+    for budget, est in zip(budgets, swept):
+        series._pair_segments.cache_clear()
+        assert _bits(est) == _bits(evaluate(fam, mode, TruncationParams(10.0, budget), cache)), budget
