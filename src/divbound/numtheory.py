@@ -6,7 +6,7 @@ import heapq
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -45,20 +45,33 @@ def smooth_numbers(i: int, limit: int) -> Iterator[int]:
                 heapq.heappush(heap, m)
 
 
-def divisor_connected_component(elements: tuple[int, ...] | list[int] | set[int], root: int) -> tuple[int, ...]:
+def divisor_components(elements: Iterable[int]) -> dict[int, int]:
+    """Map each element, in increasing order, to its component's representative in the
+    divisor graph on the elements (union-find over the divisor pairs)."""
+    pool = sorted(set(elements))
+    parent = {v: v for v in pool}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, a in enumerate(pool):
+        for b in pool[i + 1 :]:
+            if b % a == 0:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
+    return {v: find(v) for v in pool}
+
+
+def divisor_connected_component(elements: Iterable[int], root: int) -> tuple[int, ...]:
     """Component of `root` in the divisor graph restricted to the given element set."""
-    pool = set(elements)
-    if root not in pool:
+    rep = divisor_components(elements)
+    if root not in rep:
         raise ValueError(f"root {root} is not among the elements")
-    seen = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for u in pool:
-            if u not in seen and u != v and (u % v == 0 or v % u == 0):
-                seen.add(u)
-                stack.append(u)
-    return tuple(sorted(seen))
+    return tuple(v for v, r in rep.items() if r == rep[root])
 
 
 @dataclass(frozen=True)

@@ -254,16 +254,10 @@ def exact_reference_series(
     if params.budget_B > 1e4:
         raise ValueError("the exact reference path is limited to budgets <= 1e4")
     W = Fraction(0)
-    s_exact = Fraction(0)
-    s_float = 0.0
+    S = Fraction(0)
     for i, d, t in enumerate_triples(params):
         w = term_weight_exact(i, d, t)
         W += w
-        rec = solve_block(rooted_component(d, t), fam, mode)
-        if mode.kind == "density":
-            s_exact += local_increment(rec, mode) * w
-        else:
-            s_float += float(w) * local_increment(rec, mode)
-    if mode.kind == "density":
-        return s_exact, W
-    return s_float, W
+        # Fraction * float is float(w) * increment, and a float sum stays a float
+        S += w * local_increment(solve_block(rooted_component(d, t), fam, mode), mode)
+    return S, W

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
+from .numtheory import divisor_components
+
 MAX_PATTERN_VERTICES = 8
 
 # relation of a candidate image to an already placed one, used in placement plans
@@ -23,6 +25,11 @@ REL_EITHER = 2  # comparable in either direction
 
 class PatternError(ValueError):
     """Raised for structurally invalid patterns or pattern files."""
+
+
+def _is_int(value: object) -> bool:
+    # bool is a subclass of int, but True is not a vertex count or index
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -39,16 +46,18 @@ class Pattern:
 
     def __post_init__(self) -> None:
         v = self.vertex_count
-        if not 1 <= v <= MAX_PATTERN_VERTICES:
-            raise PatternError(f"vertex count must be in 1..{MAX_PATTERN_VERTICES}, got {v!r}")
+        if not _is_int(v) or not 1 <= v <= MAX_PATTERN_VERTICES:
+            raise PatternError(f"vertex count must be an int in 1..{MAX_PATTERN_VERTICES}, got {v!r}")
         norm = []
         pairs = set()
         for e in self.edges:
             try:
                 a, b, directed = e
-                a, b, directed = int(a), int(b), bool(directed)
             except (TypeError, ValueError) as exc:
                 raise PatternError(f"malformed edge {e!r}") from exc
+            # no coercion: int(1.9) and bool("false") would silently change the pattern
+            if not (_is_int(a) and _is_int(b) and isinstance(directed, bool)):
+                raise PatternError(f"edge {e!r} needs two int vertex indices and a bool directed flag")
             if not (0 <= a < v and 0 <= b <= v - 1):
                 raise PatternError(f"edge {e!r} references a vertex outside 0..{v - 1}")
             if a == b:
@@ -221,29 +230,10 @@ def _creates_copy_with(pool: tuple[int, ...], x: int, pattern: Pattern) -> bool:
     return False
 
 
-def _divisor_components(pool: tuple[int, ...]) -> dict[int, int]:
-    """Map element -> component representative in the divisor graph on pool."""
-    parent = {v: v for v in pool}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, a in enumerate(pool):
-        for b in pool[i + 1 :]:
-            if b % a == 0:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    return {v: find(v) for v in pool}
-
-
 def _has_divisor_cycle(pool: tuple[int, ...]) -> bool:
     """A graph is a forest exactly when it has (vertices - components) edges."""
     edges = sum(1 for i, a in enumerate(pool) for b in pool[i + 1 :] if b % a == 0)
-    return edges > len(pool) - len(set(_divisor_components(pool).values()))
+    return edges > len(pool) - len(set(divisor_components(pool).values()))
 
 
 @dataclass(frozen=True)
@@ -289,7 +279,7 @@ def is_admissible_with(S: Iterable[int], x: int, family: AdmissibleFamily) -> bo
     if x < 1:
         raise ValueError(f"elements must be positive, got {x!r}")
     if family.forbid_cycles and pool:
-        rep = _divisor_components(pool)
+        rep = divisor_components(pool)
         seen_comps = set()
         for v in pool:
             if v != x and (v % x == 0 or x % v == 0):
@@ -392,8 +382,7 @@ def _known_keys(obj: object, allowed: tuple[str, ...], where: str) -> None:
 
 
 def _json_int(value: object, field: str) -> int:
-    # bool is a subclass of int, but a JSON true is not a vertex index
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise PatternError(f"'{field}' must be a JSON integer, got {value!r}")
     return value
 

@@ -1,6 +1,7 @@
-"""Exact solvers on finite integer sets: the admissible-subset size polynomial, and
-from it maximum sizes (its degree), counts (its value at 1), partition functions
-(its value at z) and per-component increment records.
+"""Exact solvers on finite integer sets: the admissible-subset size polynomial P,
+and per-component increment records. Mode.value is the one reading of P: the
+maximum size is its degree, the count its value at 1 and the partition function
+its value at the pressure z.
 
 All values are exact integers, or rationals when the pressure is rational; floats
 appear only for a float pressure and when taking logarithms of exact ratios.
@@ -50,7 +51,7 @@ class Mode:
         if self.kind == "partition":
             # increment_bound takes log1p(float(pressure)), so it must fit in a float
             if self.pressure is None or not 0 < self.pressure <= sys.float_info.max:
-                raise ValueError("partition mode needs a positive pressure that fits in a float")
+                raise ValueError(f"partition mode needs a positive pressure that fits in a float, got {self.pressure}")
         elif self.pressure is not None:
             raise ValueError(f"{self.kind} mode takes no pressure")
 
@@ -68,6 +69,19 @@ class Mode:
         if self.kind == "counting":
             return math.log(2.0)
         return math.log1p(float(self.pressure))
+
+    def value(self, P: tuple[int, ...]) -> int | Fraction | float:
+        """This mode's value of a set with size polynomial P: its degree, P(1) or P(z)."""
+        if self.kind == "density":
+            return len(P) - 1
+        if self.kind == "counting":
+            return sum(P)
+        # Horner's rule on the exact integer coefficients: exact for a Fraction z
+        z = self.pressure
+        acc = 0
+        for a in reversed(P):
+            acc = acc * z + a
+        return acc
 
 
 DENSITY = Mode("density")
@@ -140,14 +154,6 @@ def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
         for k, b in enumerate(q, i):
             out[k] += a * b
     return tuple(out)
-
-
-def _evaluate(P: tuple[int, ...], z: Fraction | float) -> Fraction | float:
-    """P(z) by Horner's rule on the exact integer coefficients: exact for a Fraction z."""
-    acc = 0
-    for a in reversed(P):
-        acc = acc * z + a
-    return acc
 
 
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
@@ -312,37 +318,6 @@ def size_polynomial(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int 
     return _Search(fam, elements, resolve_node_limit(node_limit), label).value((1 << len(elements)) - 1, 0)
 
 
-def max_admissible_size(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int | None = None) -> int:
-    """Largest cardinality of an admissible subset of S, exactly."""
-    return len(size_polynomial(S, fam, node_limit=node_limit)) - 1
-
-
-def count_admissible(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int | None = None) -> int:
-    """Number of admissible subsets of S (the empty set always counts)."""
-    return sum(size_polynomial(S, fam, node_limit=node_limit))
-
-
-def partition_function(
-    S: Iterable[int],
-    fam: AdmissibleFamily,
-    z: Fraction | float | int,
-    *,
-    node_limit: int | None = None,
-) -> Fraction | float:
-    """Sum of z**|B| over admissible subsets B of S.
-
-    Exact rational when z is an int or Fraction; for a float z, the exact size
-    polynomial is evaluated in float arithmetic. At z = 1 this equals count_admissible.
-    """
-    if isinstance(z, int):
-        z = Fraction(z)
-    if isinstance(z, float) and not (math.isfinite(z) and z > 0):
-        raise ValueError(f"pressure must be positive and finite, got {z!r}")
-    if isinstance(z, Fraction) and z <= 0:
-        raise ValueError(f"pressure must be positive, got {z!r}")
-    return _evaluate(size_polynomial(S, fam, node_limit=node_limit), z)
-
-
 def solve_block(
     c: RootedComponent,
     fam: AdmissibleFamily,
@@ -374,12 +349,12 @@ def solve_block(
     shifted = zip_longest(pf, pd, (0,) + pd, fillvalue=0)
     if not (pf[0] == pd[0] == 1 and all(0 <= f - d <= e for f, d, e in shifted)):
         raise RuntimeError(f"size polynomials {pf}/{pd} out of range for key {key}")
+    full, deleted = mode.value(pf), mode.value(pd)
     if mode.kind == "density":
-        return BlockRecord(key=key, size_full=len(pf) - 1, size_deleted=len(pd) - 1)
+        return BlockRecord(key=key, size_full=full, size_deleted=deleted)
     if mode.kind == "counting":
-        return BlockRecord(key=key, count_full=sum(pf), count_deleted=sum(pd))
-    z = mode.pressure
-    return BlockRecord(key=key, partition_full=_evaluate(pf, z), partition_deleted=_evaluate(pd, z))
+        return BlockRecord(key=key, count_full=full, count_deleted=deleted)
+    return BlockRecord(key=key, partition_full=full, partition_deleted=deleted)
 
 
 def local_increment(rec: BlockRecord, mode: Mode) -> int | float:

@@ -23,7 +23,7 @@ from divbound.series import (
     retained_pairs,
     term_weight_exact,
 )
-from divbound.solver import COUNTING, DENSITY, partition_function
+from divbound.solver import COUNTING, DENSITY, partition_mode, size_polynomial
 
 TWO_FORK = builtin_family("two-fork")
 IN_FORK2 = builtin_family("in-fork:2")
@@ -260,7 +260,7 @@ def test_criterion_9_pressure_surrogate():
     step = 0.25
     ts = [round(-3 + k * step, 10) for k in range(25)]
     kaps = [
-        math.log(partition_function(range(1, n + 1), TWO_FORK, math.exp(t))) / n
+        math.log(partition_mode(math.exp(t)).value(size_polynomial(range(1, n + 1), TWO_FORK))) / n
         for t in ts
     ]
     convex_ok = all(

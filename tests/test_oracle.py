@@ -18,9 +18,7 @@ from divbound.solver import (
     COUNTING,
     DENSITY,
     ResourceLimitError,
-    count_admissible,
-    max_admissible_size,
-    partition_function,
+    partition_mode,
     size_polynomial,
 )
 
@@ -84,7 +82,7 @@ def test_size_counts_match_partition_polynomial():
         for n in (5, 8, 11):
             hist = brute_size_counts(n, fam)
             poly = sum(c * z ** k for k, c in enumerate(hist))
-            assert poly == partition_function(range(1, n + 1), fam, z)
+            assert poly == partition_mode(z).value(size_polynomial(range(1, n + 1), fam))
 
 
 def test_size_polynomial_matches_size_histogram():
@@ -100,8 +98,8 @@ def test_size_polynomial_matches_size_histogram():
 def test_oracle_agrees_with_solver_small_n():
     for fam in (TWO_FORK, CHAIN2, FOREST, builtin_family("r-fork:3")):
         for n in range(1, 13):
-            assert brute_max_size(n, fam) == max_admissible_size(range(1, n + 1), fam)
-            assert brute_count(n, fam) == count_admissible(range(1, n + 1), fam)
+            assert brute_max_size(n, fam) == DENSITY.value(size_polynomial(range(1, n + 1), fam))
+            assert brute_count(n, fam) == COUNTING.value(size_polynomial(range(1, n + 1), fam))
 
 
 def test_count_dominates_two_power_of_max():
@@ -122,9 +120,9 @@ def test_exhaustive_cap_enforced():
 
 def test_cross_mode_max_size_above_cap():
     # above the exhaustive cap only the solver answers
-    assert max_admissible_size(range(1, 31), CHAIN2) == 15
+    assert DENSITY.value(size_polynomial(range(1, 31), CHAIN2)) == 15
     # strictly beats the ceil(2n/3) interval construction at n = 27
-    assert max_admissible_size(range(1, 28), TWO_FORK) == 19
+    assert DENSITY.value(size_polynomial(range(1, 28), TWO_FORK)) == 19
     assert 19 >= math.ceil(2 * 27 / 3)
 
 
@@ -198,7 +196,7 @@ def test_pressure_surrogate_small_n():
     n = 8
     ts = [(-8 + k) * 0.5 for k in range(17)]
     kaps = [
-        math.log(partition_function(range(1, n + 1), TWO_FORK, math.exp(t))) / n
+        math.log(partition_mode(math.exp(t)).value(size_polynomial(range(1, n + 1), TWO_FORK))) / n
         for t in ts
     ]
     for j in range(1, len(kaps) - 1):

@@ -75,6 +75,18 @@ def test_pattern_rejects_malformed():
         Pattern(9, tuple((i, i + 1, True) for i in range(8)))  # too large
     with pytest.raises(PatternError):
         Pattern(2, ((0, 2, True),))  # index out of range
+    # mistyped fields are rejected, not coerced, as the file loader rejects them
+    for vertices, edges in [
+        (3, ((0, 1.9, True), (0, 2, True))),  # int(1.9) would give vertex 1
+        (3, ((0, 1, True), (0, 2, "false"))),  # bool("false") is True
+        (3, ((0, 1, 1), (0, 2, True))),  # 1 is not a bool flag
+        (3, ((0, True, True), (0, 2, True))),  # True is not a vertex index
+        (True, ()),
+        (2.0, ((0, 1, True),)),
+        ("2", ((0, 1, True),)),
+    ]:
+        with pytest.raises(PatternError):
+            Pattern(vertices, edges)
 
 
 def test_contains_pattern_examples():

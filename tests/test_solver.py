@@ -16,10 +16,7 @@ from divbound.solver import (
     Mode,
     ResourceLimitError,
     clear_caches,
-    count_admissible,
     local_increment,
-    max_admissible_size,
-    partition_function,
     partition_mode,
     size_polynomial,
     solve_block,
@@ -44,27 +41,27 @@ def enumerate_exact(S, fam):
 
 
 def test_max_admissible_size_examples():
-    assert max_admissible_size({1, 2, 3}, TWO_FORK) == 2
-    assert max_admissible_size(range(1, 7), TWO_FORK) == 4
-    assert max_admissible_size([], TWO_FORK) == 0
-    assert max_admissible_size([], FOREST) == 0
+    assert DENSITY.value(size_polynomial({1, 2, 3}, TWO_FORK)) == 2
+    assert DENSITY.value(size_polynomial(range(1, 7), TWO_FORK)) == 4
+    assert DENSITY.value(size_polynomial([], TWO_FORK)) == 0
+    assert DENSITY.value(size_polynomial([], FOREST)) == 0
 
 
 def test_count_admissible_examples():
-    assert count_admissible({1, 2}, TWO_FORK) == 4
-    assert count_admissible({1, 2, 3}, TWO_FORK) == 7
-    assert count_admissible({1, 2, 3}, CHAIN2) == 5
+    assert COUNTING.value(size_polynomial({1, 2}, TWO_FORK)) == 4
+    assert COUNTING.value(size_polynomial({1, 2, 3}, TWO_FORK)) == 7
+    assert COUNTING.value(size_polynomial({1, 2, 3}, CHAIN2)) == 5
 
 
 def test_partition_function_examples():
-    assert partition_function([], TWO_FORK, 3) == 1
-    assert partition_function({1, 2}, TWO_FORK, 2) == 9
-    assert partition_function({1, 2, 3}, TWO_FORK, 1) == 7
+    assert partition_mode(3).value(size_polynomial([], TWO_FORK)) == 1
+    assert partition_mode(2).value(size_polynomial({1, 2}, TWO_FORK)) == 9
+    assert partition_mode(1).value(size_polynomial({1, 2, 3}, TWO_FORK)) == 7
 
 
 def test_partition_function_is_exact_for_rational_z():
     z = Fraction(3, 7)
-    val = partition_function({1, 2, 3, 4}, TWO_FORK, z)
+    val = partition_mode(z).value(size_polynomial({1, 2, 3, 4}, TWO_FORK))
     assert isinstance(val, Fraction)
     # direct expansion over admissible subsets of {1,2,3,4}
     expected = sum(
@@ -76,15 +73,6 @@ def test_partition_function_is_exact_for_rational_z():
     assert val == expected
 
 
-def test_partition_function_rejects_bad_z():
-    with pytest.raises(ValueError):
-        partition_function({1, 2}, TWO_FORK, 0)
-    with pytest.raises(ValueError):
-        partition_function({1, 2}, TWO_FORK, -1.5)
-    with pytest.raises(ValueError):
-        partition_function({1, 2}, TWO_FORK, float("nan"))
-
-
 def test_matches_exhaustive_enumeration():
     rng = random.Random(1777)
     fams = [TWO_FORK, CHAIN2, FOREST, builtin_family("in-fork:2")]
@@ -92,16 +80,16 @@ def test_matches_exhaustive_enumeration():
         S = set(rng.sample(range(1, 41), rng.randint(0, 11)))
         fam = rng.choice(fams)
         best, count = enumerate_exact(S, fam)
-        assert max_admissible_size(S, fam) == best
-        assert count_admissible(S, fam) == count
+        assert DENSITY.value(size_polynomial(S, fam)) == best
+        assert COUNTING.value(size_polynomial(S, fam)) == count
 
 
 def test_prefix_intervals_match_enumeration():
     for n in range(13):
         S = range(1, n + 1)
         best, count = enumerate_exact(S, TWO_FORK)
-        assert max_admissible_size(S, TWO_FORK) == best
-        assert count_admissible(S, TWO_FORK) == count
+        assert DENSITY.value(size_polynomial(S, TWO_FORK)) == best
+        assert COUNTING.value(size_polynomial(S, TWO_FORK)) == count
 
 
 def test_additivity_and_multiplicativity():
@@ -114,11 +102,11 @@ def test_additivity_and_multiplicativity():
             continue
         trials += 1
         fam = rng.choice((TWO_FORK, CHAIN2, FOREST))
-        assert max_admissible_size(S1 | S2, fam) == (
-            max_admissible_size(S1, fam) + max_admissible_size(S2, fam)
+        assert DENSITY.value(size_polynomial(S1 | S2, fam)) == (
+            DENSITY.value(size_polynomial(S1, fam)) + DENSITY.value(size_polynomial(S2, fam))
         )
-        assert count_admissible(S1 | S2, fam) == (
-            count_admissible(S1, fam) * count_admissible(S2, fam)
+        assert COUNTING.value(size_polynomial(S1 | S2, fam)) == (
+            COUNTING.value(size_polynomial(S1, fam)) * COUNTING.value(size_polynomial(S2, fam))
         )
 
 
@@ -127,7 +115,7 @@ def test_partition_at_one_equals_count():
     for _ in range(40):
         S = set(rng.sample(range(1, 31), rng.randint(0, 9)))
         fam = rng.choice((TWO_FORK, CHAIN2, FOREST))
-        assert partition_function(S, fam, 1) == count_admissible(S, fam)
+        assert partition_mode(1).value(size_polynomial(S, fam)) == COUNTING.value(size_polynomial(S, fam))
 
 
 def test_solve_block_examples():
@@ -206,7 +194,7 @@ def test_dilation_invariance_of_increments():
 def test_node_limit_raises_resource_error():
     clear_caches()
     with pytest.raises(ResourceLimitError):
-        count_admissible(range(1, 25), TWO_FORK, node_limit=5)
+        size_polynomial(range(1, 25), TWO_FORK, node_limit=5)
     clear_caches()
 
 
@@ -214,7 +202,7 @@ def test_large_block_solves_within_ten_thousand_nodes():
     # branching on the most constrained element solves {1..60} in 7,470 nodes;
     # branching on the most comparable one gives the same count after 398,574
     clear_caches()
-    assert count_admissible(range(1, 61), TWO_FORK, node_limit=10_000) == 271422412615740
+    assert COUNTING.value(size_polynomial(range(1, 61), TWO_FORK, node_limit=10_000)) == 271422412615740
     clear_caches()
 
 
@@ -246,8 +234,8 @@ def test_solve_block_builds_one_search(monkeypatch):
     assert len(built) == 1
     deleted = [v for v in comp.elements if v != comp.root]
     assert (rec.count_full, rec.count_deleted) == (
-        count_admissible(comp.elements, TWO_FORK),
-        count_admissible(deleted, TWO_FORK),
+        COUNTING.value(size_polynomial(comp.elements, TWO_FORK)),
+        COUNTING.value(size_polynomial(deleted, TWO_FORK)),
     )
     clear_caches()
 
@@ -270,10 +258,10 @@ def test_one_search_serves_every_mode(monkeypatch):
     partition = solve_block(comp, TWO_FORK, partition_mode(2))
     assert len(calls) == searched
     assert (density.size_full, counting_rec.count_full) == (
-        max_admissible_size(comp.elements, TWO_FORK),
-        count_admissible(comp.elements, TWO_FORK),
+        DENSITY.value(size_polynomial(comp.elements, TWO_FORK)),
+        COUNTING.value(size_polynomial(comp.elements, TWO_FORK)),
     )
-    assert partition.partition_full == partition_function(comp.elements, TWO_FORK, 2)
+    assert partition.partition_full == partition_mode(2).value(size_polynomial(comp.elements, TWO_FORK))
     clear_caches()
 
 
@@ -491,8 +479,8 @@ def test_memo_keys_hold_only_near_chosen_elements(fam, radius, t):
 
 def test_memo_is_shared_across_scaled_blocks():
     clear_caches()
-    a = count_admissible([3, 6, 12], TWO_FORK)
-    b = count_admissible([5, 10, 20], TWO_FORK)
+    a = COUNTING.value(size_polynomial([3, 6, 12], TWO_FORK))
+    b = COUNTING.value(size_polynomial([5, 10, 20], TWO_FORK))
     assert a == b
 
 
@@ -510,7 +498,7 @@ def test_mode_validation():
         Mode("nonsense", None)
     with pytest.raises(ValueError):
         partition_mode(Fraction(-1, 2))
-    for z in (Fraction(10) ** 400, math.inf, math.nan):
+    for z in (Fraction(10) ** 400, math.inf, math.nan, 0, -1.5, float("nan")):
         with pytest.raises(ValueError):
             partition_mode(z)
 
@@ -518,5 +506,5 @@ def test_mode_validation():
 def test_large_elements_stay_exact():
     # counts must stay exact beyond 64-bit float precision territory
     big = [2 ** 50, 2 ** 51, 3 ** 33]
-    assert count_admissible(big, CHAIN2) == 6  # {2^50, 2^51} is the only divisor pair
-    assert max_admissible_size(big, CHAIN2) == 2
+    assert COUNTING.value(size_polynomial(big, CHAIN2)) == 6  # {2^50, 2^51} is the only divisor pair
+    assert DENSITY.value(size_polynomial(big, CHAIN2)) == 2
