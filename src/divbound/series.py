@@ -159,7 +159,9 @@ class BlockCache:
 
     def _load(self, path: str) -> None:
         try:
-            fh = open(path, encoding="utf-8")
+            # a byte that is not UTF-8 reads as U+FFFD: in a value field the line
+            # is unreadable and skipped, in a key field its text is not canonical
+            fh = open(path, encoding="utf-8", errors="replace")
         except FileNotFoundError:
             return
         except OSError as exc:

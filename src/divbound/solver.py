@@ -1,7 +1,9 @@
 """Exact solvers on finite integer sets: the admissible-subset size polynomial P,
 and per-component increment records. Mode.value is the one reading of P: the
 maximum size is its degree, the count its value at 1 and the partition function
-its value at the pressure z.
+its value at the pressure z. The search memo packs each polynomial into one
+integer, and only the search reads that format; everything it returns is a tuple
+of coefficients.
 
 All values are exact integers, or rationals when the pressure is rational; floats
 appear only for a float pressure and when taking logarithms of exact ratios.
@@ -147,13 +149,22 @@ def clear_caches() -> None:
     _MEMO.clear()
 
 
-def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Product of two size polynomials."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for k, b in enumerate(q, i):
-            out[k] += a * b
-    return tuple(out)
+def _width(r: int) -> int:
+    """Slot width in bits of a packed size polynomial over r undecided elements: a
+    multiple of 32 above r, so every coefficient, at most C(r, k) <= 2**r, fits."""
+    return 32 * (r // 32 + 1)
+
+
+def _slots(P: int, w: int) -> list[bytes]:
+    """The w-bit slots of a packed polynomial P, lowest first, as little-endian bytes."""
+    size = w // 8
+    raw = P.to_bytes(-(-P.bit_length() // w) * size, "little")
+    return [raw[i : i + size] for i in range(0, len(raw), size)]
+
+
+def _repack(P: int, w: int, wider: int) -> int:
+    """The packed polynomial P with its w-bit slots widened to wider bits."""
+    return int.from_bytes(bytes((wider - w) // 8).join(_slots(P, w)), "little")
 
 
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
@@ -168,6 +179,13 @@ class _Search:
     """Include/exclude recursion over (undecided, chosen) states, valued by the size
     polynomial (a_0, ..., a_m): a_k counts the k-subsets A of the undecided part with
     chosen+A admissible. The chosen part is always admissible.
+
+    A value is packed into one integer, sum of a_k * 2**(w*k), with the slot width
+    w = _width(r) set by the state's number r of undecided elements. Each a_k is at
+    most C(r, k) < 2**w, and so is every coefficient of a sum or product of the
+    polynomials of disjoint parts of the state, so integer addition and
+    multiplication give the packed sum and product with no carry between slots.
+    The format stays inside this class: polynomial() unpacks a value to its tuple.
 
     A state is a pair of bitmasks over the sorted elements, and adj[j] is the mask of
     elements comparable to element j under divisibility, built once per search.
@@ -214,11 +232,17 @@ class _Search:
                 break
         return chosen ^ far
 
-    def value(self, rest: int, chosen: int) -> tuple[int, ...]:
+    def polynomial(self, rest: int) -> tuple[int, ...]:
+        """The coefficients (a_0, ..., a_m) of the size polynomial of the elements in rest."""
+        return tuple(int.from_bytes(s, "little") for s in _slots(self.value(rest, 0), _width(rest.bit_count())))
+
+    def value(self, rest: int, chosen: int) -> int:
         """Product over the divisor-graph components of rest+chosen, where chosen is
-        already pruned to the elements near rest. Admissibility factors over the
-        components because every forbidden structure is connected."""
-        total = (1,)
+        already pruned to the elements near rest, packed at the width of rest's size.
+        Admissibility factors over the components because every forbidden structure
+        is connected."""
+        total = 1
+        w = _width(rest.bit_count())
         adj = self.adj
         todo = rest | chosen
         while todo & rest:
@@ -246,10 +270,15 @@ class _Search:
             val = self.memo.get(key)
             if val is None:
                 val = self.memo[key] = self._branch(comp_rest, comp_chosen, key, g)
-            total = _mul(total, val) if len(total) > 1 else val
+            # a component's value is packed at the width of its own size, which can
+            # be narrower than the product's
+            comp_w = _width(len(rest_values))
+            if comp_w != w:
+                val = _repack(val, comp_w, w)
+            total = val if total == 1 else total * val
         return total
 
-    def _branch(self, rest: int, chosen: int, key: tuple[tuple[int, ...], tuple[int, ...]], g: int) -> tuple[int, ...]:
+    def _branch(self, rest: int, chosen: int, key: tuple[tuple[int, ...], tuple[int, ...]], g: int) -> int:
         self.nodes_left -= 1
         if self.nodes_left < 0:
             raise ResourceLimitError(
@@ -278,8 +307,13 @@ class _Search:
             y = touching & -touching
             touching ^= y
             recheck = not adj[y.bit_length() - 1] & rest2
-        without = self.value(rest2, self._near(rest2, chosen) if recheck else chosen)
         rest_values, chosen_values = key
+        # both branches are packed at the width of len(rest_values) - 1
+        w = _width(len(rest_values))
+        widen = len(rest_values) % 32 == 0
+        without = self.value(rest2, self._near(rest2, chosen) if recheck else chosen)
+        if widen:
+            without = _repack(without, w - 32, w)
         v = rest_values[p]
         if not is_admissible_with(chosen_values, v, self.family):
             return without
@@ -301,12 +335,11 @@ class _Search:
             if with_x is None:
                 with_x = self.memo[child] = self._branch(rest2, chosen2, child, g)
         else:
-            with_x = (1,)
+            with_x = 1
+        if widen:
+            with_x = _repack(with_x, w - 32, w)
         # P_without(x) + x * P_with(x)
-        out = list(without) + [0] * (len(with_x) + 1 - len(without))
-        for k, b in enumerate(with_x, 1):
-            out[k] += b
-        return tuple(out)
+        return without + (with_x << w)
 
 
 def size_polynomial(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int | None = None) -> tuple[int, ...]:
@@ -315,7 +348,7 @@ def size_polynomial(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int 
     """
     elements = _validated_elements(S)
     label = f"{fam.name} on {len(elements)} elements"
-    return _Search(fam, elements, resolve_node_limit(node_limit), label).value((1 << len(elements)) - 1, 0)
+    return _Search(fam, elements, resolve_node_limit(node_limit), label).polynomial((1 << len(elements)) - 1)
 
 
 def solve_block(
@@ -338,8 +371,8 @@ def solve_block(
     search = _Search(fam, full, resolve_node_limit(node_limit), f"{fam.name} on {len(full)} elements")
     everything = (1 << len(full)) - 1
     try:
-        pf = search.value(everything, 0)
-        pd = search.value(everything ^ (1 << c.root_index), 0)
+        pf = search.polynomial(everything)
+        pd = search.polynomial(everything ^ (1 << c.root_index))
     except ResourceLimitError as exc:
         raise ResourceLimitError(
             f"{exc} [component {','.join(map(str, full))} root {key.root_value}]", key=key

@@ -255,6 +255,19 @@ def test_criterion_8_repeat_determinism(beta_run_1e10):
     )
 
 
+def test_beta_1e10_bits_are_pinned(beta_run_1e10):
+    # the only tier-1 run with blocks of more than 64 elements, whose searches
+    # pack polynomials in slots of 96 bits
+    est, _, _ = beta_run_1e10
+    assert (est.S.hex(), est.W.hex(), est.upper.hex(), est.slack.hex()) == (
+        "0x1.18abd08e69b80p-1",
+        "0x1.c55e73310bacep-1",
+        "0x1.414fa4577c6d4p-1",
+        "0x1.0610000000000p-40",
+    )
+    assert (est.blocks, est.id_pairs) == (522, 368)
+
+
 def test_criterion_9_pressure_surrogate():
     n = 14
     step = 0.25

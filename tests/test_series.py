@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from divbound import numtheory, series
+from divbound.cli import main
 from divbound.numtheory import canonical_key, primes_up_to, rooted_component
 from divbound.patterns import builtin_family
 from divbound.series import (
@@ -487,6 +488,34 @@ def test_cache_skips_out_of_range_pairs(tmp_path, caplog):
     assert any("count pair out of range" in m for m in warned)
     assert warm == clean
     assert cache.misses == clean_cache.misses
+
+
+def test_cache_skips_bytes_that_are_not_utf8(tmp_path, caplog, capsys):
+    # a 0xff byte in a value field makes that line unreadable, so it is warned about
+    # by number; in the elements it makes the key text non-canonical, so it is inert
+    path = tmp_path / "blocks.tsv"
+    _run(str(path))
+    lines = path.read_bytes().splitlines(keepends=True)
+    fields = lines[0].split(b"\t")
+    assert fields[1] == b"density"
+    fields[4] += b"\xff"
+    bad_value = b"\t".join(fields)
+    fields = lines[1].split(b"\t")
+    fields[2] = b"\xff" + fields[2]
+    bad_key = b"\t".join(fields)
+    path.write_bytes(bad_value + bad_key + b"".join(lines))
+    with caplog.at_level(logging.WARNING):
+        warm, cache = _run(str(path))
+    clean, _ = _run()
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == 1 and f"cache line 1 in {path}" in warned[0]
+    assert warm == clean
+    assert cache.misses == 0
+    size = path.stat().st_size
+    for mode in ("density", "beta"):
+        argv = ["bound", "--family", "two-fork", "--mode", mode, "--budget", "2000", "--cache", str(path)]
+        assert main(argv) == 0, capsys.readouterr().err
+    assert path.stat().st_size == size
 
 
 def test_cache_warm_reload_reads_density_and_beta_and_solves_pressure(tmp_path):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from divbound import solver
-from divbound.numtheory import RootedComponent, divisor_connected_component, rooted_component
+from divbound.numtheory import RootedComponent, divisor_connected_component, primes_up_to, rooted_component
 from divbound.patterns import builtin_family, family_from_json, is_admissible
 from divbound.solver import (
     COUNTING,
@@ -300,6 +300,13 @@ def test_search_tree_is_pinned(monkeypatch, name, d, t, nodes):
     clear_caches()
 
 
+def unpack(P, r):
+    """The coefficient tuple of a memo value packed in slots of 32 * (r // 32 + 1)
+    bits, r being the number of undecided values in its key."""
+    w = 32 * (r // 32 + 1)
+    return tuple((P >> (w * k)) & ((1 << w) - 1) for k in range(-(-P.bit_length() // w)))
+
+
 @pytest.mark.parametrize(
     "name, d, t, digest",
     [
@@ -315,7 +322,7 @@ def test_memo_contents_are_pinned(name, d, t, digest):
     fam = builtin_family(name)
     clear_caches()
     solve_block(rooted_component(d, t), fam, COUNTING)
-    items = sorted(solver._MEMO[fam.family_hash].items())
+    items = sorted((key, unpack(P, len(key[0]))) for key, P in solver._MEMO[fam.family_hash].items())
     assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
     clear_caches()
 
@@ -474,6 +481,20 @@ def test_memo_keys_hold_only_near_chosen_elements(fam, radius, t):
             frontier = {c for c in chosen if c not in near and any(c % a == 0 or a % c == 0 for a in frontier)}
             near |= frontier
         assert near == set(chosen), (rest, chosen)
+    clear_caches()
+
+
+@pytest.mark.parametrize("name, extra", [("two-fork", (0, 1, 70)), ("chain:2", (0, 1))])
+def test_size_polynomial_beyond_one_word(name, extra):
+    # 70 undecided elements pack in 96-bit slots, and C(70, 35) has 67 bits; the
+    # second set joins 1 below 70 primes, so one search crosses the 32- and 64-bit
+    # widths. Any admissible set with 1 holds at most one prime (two-fork) or none
+    fam = builtin_family(name)
+    binomial = tuple(math.comb(70, k) for k in range(71))
+    clear_caches()
+    assert size_polynomial(range(71, 141), fam) == binomial
+    with_one = tuple(a + b for a, b in itertools.zip_longest(binomial, extra, fillvalue=0))
+    assert size_polynomial([1, *primes_up_to(400)[:70]], fam) == with_one
     clear_caches()
 
 
