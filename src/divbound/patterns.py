@@ -220,16 +220,6 @@ def _distinct_plans(pattern: Pattern) -> tuple[tuple[tuple[tuple[int, int], ...]
     return tuple(dict.fromkeys(placement_plan(pattern, a) for a in range(pattern.vertex_count)))
 
 
-def _creates_copy_with(pool: tuple[int, ...], x: int, pattern: Pattern) -> bool:
-    """Copy of the pattern inside pool + {x} whose image uses x."""
-    if len(pool) + 1 < pattern.vertex_count:
-        return False
-    for plan in _distinct_plans(pattern):
-        if _extend(plan, 0, [x], {x}, pool):
-            return True
-    return False
-
-
 def _has_divisor_cycle(pool: tuple[int, ...]) -> bool:
     """A graph is a forest exactly when it has (vertices - components) edges."""
     edges = sum(1 for i, a in enumerate(pool) for b in pool[i + 1 :] if b % a == 0)
@@ -266,31 +256,6 @@ def is_admissible(S: Iterable[int], family: AdmissibleFamily) -> bool:
     if family.forbid_cycles and _has_divisor_cycle(pool):
         return False
     return not any(contains_pattern(pool, p) for p in family.patterns)
-
-
-def is_admissible_with(S: Iterable[int], x: int, family: AdmissibleFamily) -> bool:
-    """Given admissible S and x not in S, decide whether S + {x} stays admissible.
-
-    Only structures through x need checking: any new pattern copy or cycle must use x.
-    """
-    pool = tuple(sorted(set(S)))
-    if x in pool:
-        raise ValueError(f"{x} is already a member")
-    if x < 1:
-        raise ValueError(f"elements must be positive, got {x!r}")
-    if family.forbid_cycles and pool:
-        rep = divisor_components(pool)
-        seen_comps = set()
-        for v in pool:
-            if v != x and (v % x == 0 or x % v == 0):
-                r = rep[v]
-                if r in seen_comps:
-                    return False
-                seen_comps.add(r)
-    for p in family.patterns:
-        if _creates_copy_with(pool, x, p):
-            return False
-    return True
 
 
 def r_fork(r: int) -> Pattern:

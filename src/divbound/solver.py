@@ -22,7 +22,7 @@ from operator import or_
 from typing import Iterable
 
 from .numtheory import CanonicalKey, RootedComponent, canonical_key
-from .patterns import AdmissibleFamily, is_admissible_with
+from .patterns import REL_DIVISOR, REL_EITHER, REL_MULTIPLE, AdmissibleFamily, _distinct_plans
 
 DEFAULT_NODE_LIMIT = 10**6
 NODE_LIMIT_ENV = "DIVBOUND_NODE_LIMIT"
@@ -130,11 +130,13 @@ def resolve_node_limit(node_limit: int | None) -> int:
 
 
 def _validated_elements(S: Iterable[int]) -> tuple[int, ...]:
-    out = sorted(set(S))
-    for v in out:
-        if not isinstance(v, int) or v < 1:
+    out = set()
+    for v in S:
+        # bool is a subclass of int, but True is not the element 1
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise ValueError(f"elements must be positive integers, got {v!r}")
-    return tuple(out)
+        out.add(v)
+    return tuple(sorted(out))
 
 
 _MEMO: dict[str, dict] = {}
@@ -175,6 +177,11 @@ def _selectors(mask: int) -> bytes:
     return bin(mask).encode()[:1:-1].translate(_DIGITS)
 
 
+# every normalized value of a str key is a code point; a component with a larger
+# value is keyed by a tuple instead
+_KEY_CHARS = sys.maxunicode + 1
+
+
 class _Search:
     """Include/exclude recursion over (undecided, chosen) states, valued by the size
     polynomial (a_0, ..., a_m): a_k counts the k-subsets A of the undecided part with
@@ -187,8 +194,9 @@ class _Search:
     multiplication give the packed sum and product with no carry between slots.
     The format stays inside this class: polynomial() unpacks a value to its tuple.
 
-    A state is a pair of bitmasks over the sorted elements, and adj[j] is the mask of
-    elements comparable to element j under divisibility, built once per search.
+    A state is a pair of bitmasks over the sorted elements. mult[j] and div[j] are
+    the masks of the proper multiples and proper divisors of element j, and adj[j]
+    their union, built once per search; the matcher is_admissible_with walks them.
 
     A new forbidden copy holds an undecided element x and is connected, so it lies
     within radius steps of x: the largest Pattern.diameter, taken on the pattern's
@@ -196,12 +204,15 @@ class _Search:
     than that from every undecided one, along steps through chosen elements, is in
     no future copy and is dropped from the state; forest families keep every chosen
     element, since a cycle has no bounded length. A memo key holds one divisor-graph
-    component of the pruned state: its undecided values and its kept chosen values,
-    each divided by the component's gcd (dilation invariance).
+    component of the pruned state: its undecided values, then 0, then its kept
+    chosen values, each divided by the component's gcd (dilation invariance). The
+    key is the str of those code points, or their tuple when a value has no chr; a
+    tuple never equals a str, and every value is at least 1, so 0 separates the two
+    parts and the key is injective.
     Keys are per family, shared by every mode, and the memo is insert-only.
     """
 
-    __slots__ = ("family", "memo", "nodes_left", "limit", "label", "elements", "adj", "radius")
+    __slots__ = ("family", "memo", "nodes_left", "limit", "label", "elements", "adj", "radius", "plans")
 
     def __init__(self, family: AdmissibleFamily, elements: tuple[int, ...], node_limit: int, label: str):
         self.family = family
@@ -209,12 +220,22 @@ class _Search:
         self.nodes_left = node_limit
         self.label = label
         self.elements = elements
-        self.adj = adj = [0] * len(elements)
+        mult = [0] * len(elements)
+        div = [0] * len(elements)
         for j, a in enumerate(elements):
             for k in range(j):
                 if a % elements[k] == 0:
-                    adj[j] |= 1 << k
-                    adj[k] |= 1 << j
+                    div[j] |= 1 << k
+                    mult[k] |= 1 << j
+        self.adj = adj = list(map(or_, mult, div))
+        # each placement plan with its relations turned into the mask lists they
+        # select, so a step's candidates are an AND of masks
+        masks = {REL_MULTIPLE: mult, REL_DIVISOR: div, REL_EITHER: adj}
+        self.plans = [
+            tuple(tuple((slot, masks[rel]) for slot, rel in step) for step in plan)
+            for pattern in family.patterns
+            for plan in _distinct_plans(pattern)
+        ]
         self.memo = _MEMO.setdefault(family.family_hash, {})
         # 0 turns pruning off; at least 1 keeps an included element that has an
         # undecided neighbour, so the include branch's derived key stays pruned
@@ -244,6 +265,7 @@ class _Search:
         total = 1
         w = _width(rest.bit_count())
         adj = self.adj
+        elements = self.elements
         todo = rest | chosen
         while todo & rest:
             # flood fill from the lowest element; todo keeps what is left unreached
@@ -260,25 +282,27 @@ class _Search:
             if not comp_rest:
                 continue
             comp_chosen = comp & chosen
-            rest_values = tuple(compress(self.elements, _selectors(comp_rest)))
-            chosen_values = tuple(compress(self.elements, _selectors(comp_chosen)))
-            g = math.gcd(*rest_values, *chosen_values)
+            values = (*compress(elements, _selectors(comp_rest)), 0, *compress(elements, _selectors(comp_chosen)))
+            g = math.gcd(*values)
             if g != 1:
-                rest_values = tuple(map(g.__rfloordiv__, rest_values))
-                chosen_values = tuple(map(g.__rfloordiv__, chosen_values))
-            key = (rest_values, chosen_values)
+                values = map(g.__rfloordiv__, values)
+            # the component's largest element has its largest value
+            if elements[comp.bit_length() - 1] // g < _KEY_CHARS:
+                key = "".join(map(chr, values))
+            else:
+                key = tuple(values)
             val = self.memo.get(key)
             if val is None:
-                val = self.memo[key] = self._branch(comp_rest, comp_chosen, key, g)
+                val = self.memo[key] = self._branch(comp_rest, comp_chosen, key)
             # a component's value is packed at the width of its own size, which can
             # be narrower than the product's
-            comp_w = _width(len(rest_values))
+            comp_w = _width(comp_rest.bit_count())
             if comp_w != w:
                 val = _repack(val, comp_w, w)
             total = val if total == 1 else total * val
         return total
 
-    def _branch(self, rest: int, chosen: int, key: tuple[tuple[int, ...], tuple[int, ...]], g: int) -> int:
+    def _branch(self, rest: int, chosen: int, key: str | tuple[int, ...]) -> int:
         self.nodes_left -= 1
         if self.nodes_left < 0:
             raise ResourceLimitError(
@@ -287,16 +311,17 @@ class _Search:
         # fail first: the undecided element with the most chosen neighbours, then the
         # most neighbours in the state, then the smallest. Such an element is often
         # blocked, a cheap exclude-only node; included, it settles its neighbourhood.
-        # x is the p-th undecided element, so its normalized value is rest_values[p]
+        # One with a chosen neighbour beats every one without, so when there is one
+        # only those are scanned.
         adj = self.adj
         union = rest | chosen
-        selectors = _selectors(rest)
+        scan = rest & reduce(or_, compress(adj, _selectors(chosen)), 0) if chosen else 0
+        selectors = _selectors(scan or rest)
         nbrs = list(compress(adj, selectors))
         degrees = list(
             zip(map(int.bit_count, map(chosen.__and__, nbrs)), map(int.bit_count, map(union.__and__, nbrs)))
         )
-        p = degrees.index(max(degrees))
-        x = list(compress(range(len(selectors)), selectors))[p]
+        x = list(compress(range(len(selectors)), selectors))[degrees.index(max(degrees))]
         rest2 = rest ^ (1 << x)
         # Every chosen element is near rest. A path that starts at x goes on through a
         # chosen neighbour y of x; when every such y has a neighbour in rest2, each
@@ -307,15 +332,14 @@ class _Search:
             y = touching & -touching
             touching ^= y
             recheck = not adj[y.bit_length() - 1] & rest2
-        rest_values, chosen_values = key
-        # both branches are packed at the width of len(rest_values) - 1
-        w = _width(len(rest_values))
-        widen = len(rest_values) % 32 == 0
+        # both branches are packed at the width of r - 1
+        r = rest.bit_count()
+        w = _width(r)
+        widen = r % 32 == 0
         without = self.value(rest2, self._near(rest2, chosen) if recheck else chosen)
         if widen:
             without = _repack(without, w - 32, w)
-        v = rest_values[p]
-        if not is_admissible_with(chosen_values, v, self.family):
+        if not is_admissible_with(self, chosen, x):
             return without
         chosen2 = chosen | (1 << x)
         # an included x is one step from rest2, or two through a y; one without
@@ -327,19 +351,72 @@ class _Search:
         if kept != chosen2:
             with_x = self.value(rest2, kept)
         elif rest2:
-            # including x keeps the union, hence one component with the same gcd g:
-            # its key moves v from the undecided values to the chosen ones
-            q = (chosen & ((1 << x) - 1)).bit_count()
-            child = (rest_values[:p] + rest_values[p + 1 :], chosen_values[:q] + (v,) + chosen_values[q:])
+            # including x keeps the union, hence one component with the same gcd: its
+            # key moves x's value from index p, among the undecided values, to index
+            # q, among the chosen ones, which follow the r undecided values and the 0
+            below = (1 << x) - 1
+            p = (rest & below).bit_count()
+            q = r + 1 + (chosen & below).bit_count()
+            child = key[:p] + key[p + 1 : q] + key[p : p + 1] + key[q:]
             with_x = self.memo.get(child)
             if with_x is None:
-                with_x = self.memo[child] = self._branch(rest2, chosen2, child, g)
+                with_x = self.memo[child] = self._branch(rest2, chosen2, child)
         else:
             with_x = 1
         if widen:
             with_x = _repack(with_x, w - 32, w)
         # P_without(x) + x * P_with(x)
         return without + (with_x << w)
+
+
+def is_admissible_with(search: _Search, chosen: int, x: int) -> bool:
+    """Given the mask chosen of an admissible set of search's elements and the index x
+    of an element outside it, decide whether chosen + {x} stays admissible.
+
+    Only structures through x need checking: any new pattern copy or cycle uses x.
+    """
+    if search.family.forbid_cycles:
+        # a cycle through x joins two chosen neighbours of x inside chosen
+        adj = search.adj
+        nbrs = adj[x] & chosen
+        todo = chosen
+        while nbrs:
+            frontier = nbrs & -nbrs
+            nbrs ^= frontier
+            todo ^= frontier
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grow = adj[low.bit_length() - 1] & todo
+                if grow & nbrs:
+                    return False
+                todo ^= grow
+                frontier |= grow
+    size = chosen.bit_count()
+    for plan in search.plans:
+        # a plan places x first, then one chosen element per step
+        if len(plan) <= size and (not plan or _places(plan, 0, [x], chosen)):
+            return False
+    return True
+
+
+def _places(plan, step: int, images: list[int], pool: int) -> bool:
+    """Can the steps of plan from step on take distinct elements of the mask pool,
+    images[s] being the index placed at slot s so far?"""
+    cand = pool
+    for slot, masks in plan[step]:
+        cand &= masks[images[slot]]
+    step += 1
+    if step == len(plan):
+        return bool(cand)
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        images.append(low.bit_length() - 1)
+        if _places(plan, step, images, pool ^ low):
+            return True
+        images.pop()
+    return False
 
 
 def size_polynomial(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int | None = None) -> tuple[int, ...]:

@@ -16,7 +16,6 @@ from divbound.patterns import (
     family_from_json,
     in_fork,
     is_admissible,
-    is_admissible_with,
     r_fork,
     two_fork,
 )
@@ -132,21 +131,6 @@ def test_is_admissible_examples():
     assert is_admissible({1, 2, 3}, forest)  # star
 
 
-def test_is_admissible_with_examples():
-    fam = builtin_family("two-fork")
-    assert not is_admissible_with({2, 4}, 1, fam)
-    assert not is_admissible_with({2, 4}, 8, fam)
-    assert is_admissible_with({4, 6}, 5, fam)
-
-
-def test_is_admissible_with_rejects_bad_inputs():
-    fam = builtin_family("two-fork")
-    with pytest.raises(ValueError):
-        is_admissible_with({2, 4}, 4, fam)
-    with pytest.raises(ValueError):
-        is_admissible_with({2, 4}, 0, fam)
-
-
 def test_downward_closure_random():
     rng = random.Random(7321)
     fams = [builtin_family(s) for s in ("two-fork", "chain:3", "in-fork:2", "forest")]
@@ -184,22 +168,6 @@ def test_dilation_invariance_random():
         scaled = {m * x for x in S}
         for fam in fams:
             assert is_admissible(S, fam) == is_admissible(scaled, fam)
-
-
-def test_incremental_consistency_random():
-    rng = random.Random(66600)
-    fams = [builtin_family(s) for s in ("two-fork", "r-fork:3", "in-fork:3", "chain:3", "forest")]
-    checked = 0
-    while checked < 150:
-        S = set(rng.sample(range(1, 41), rng.randint(0, 8)))
-        x = rng.randint(1, 40)
-        if x in S:
-            continue
-        for fam in fams:
-            if not is_admissible(S, fam):
-                continue
-            checked += 1
-            assert is_admissible_with(S, x, fam) == is_admissible(S | {x}, fam)
 
 
 def test_pattern_diameter_ignores_directions():

@@ -300,6 +300,14 @@ def test_search_tree_is_pinned(monkeypatch, name, d, t, nodes):
     clear_caches()
 
 
+def decode(key):
+    """The (undecided, chosen) value tuples of a memo key: a str of code points or a
+    tuple of ints, with 0 between the two parts."""
+    values = tuple(map(ord, key)) if isinstance(key, str) else key
+    cut = values.index(0)
+    return values[:cut], values[cut + 1 :]
+
+
 def unpack(P, r):
     """The coefficient tuple of a memo value packed in slots of 32 * (r // 32 + 1)
     bits, r being the number of undecided values in its key."""
@@ -322,7 +330,8 @@ def test_memo_contents_are_pinned(name, d, t, digest):
     fam = builtin_family(name)
     clear_caches()
     solve_block(rooted_component(d, t), fam, COUNTING)
-    items = sorted((key, unpack(P, len(key[0]))) for key, P in solver._MEMO[fam.family_hash].items())
+    memo = solver._MEMO[fam.family_hash]
+    items = sorted((key, unpack(P, len(key[0]))) for key, P in zip(map(decode, memo), memo.values()))
     assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
     clear_caches()
 
@@ -475,7 +484,7 @@ def test_memo_keys_hold_only_near_chosen_elements(fam, radius, t):
     # only chosen values within radius steps of an undecided one through chosen ones
     clear_caches()
     solve_block(rooted_component(1, t), fam, COUNTING)
-    for rest, chosen in solver._MEMO[fam.family_hash]:
+    for rest, chosen in map(decode, solver._MEMO[fam.family_hash]):
         near, frontier = set(), set(rest)
         for _ in range(radius):
             frontier = {c for c in chosen if c not in near and any(c % a == 0 or a % c == 0 for a in frontier)}
@@ -496,6 +505,68 @@ def test_size_polynomial_beyond_one_word(name, extra):
     with_one = tuple(a + b for a, b in itertools.zip_longest(binomial, extra, fillvalue=0))
     assert size_polynomial([1, *primes_up_to(400)[:70]], fam) == with_one
     clear_caches()
+
+
+def admissible_with(S, x, fam):
+    """The search's matcher on the admissible set S and the element x outside it."""
+    elements = tuple(sorted({*S, x}))
+    search = solver._Search(fam, elements, 1, "matcher test")
+    chosen = sum(1 << j for j, v in enumerate(elements) if v != x)
+    return solver.is_admissible_with(search, chosen, elements.index(x))
+
+
+def test_matcher_examples():
+    assert not admissible_with({2, 4}, 1, TWO_FORK)
+    assert not admissible_with({2, 4}, 8, TWO_FORK)
+    assert admissible_with({4, 6}, 5, TWO_FORK)
+    # 6 joins 2 and 3, which 1 already joins: a cycle; 5 touches only 1
+    assert not admissible_with({1, 2, 3}, 6, FOREST)
+    assert admissible_with({1, 2, 3}, 5, FOREST)
+    # a one-vertex pattern has an empty plan: every element is a copy
+    single = family_from_json({"patterns": [{"vertices": 1, "edges": []}]}, "single")
+    assert not admissible_with(set(), 7, single)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        *map(builtin_family, ("two-fork", "r-fork:3", "in-fork:2", "in-fork:3", "chain:2", "chain:3", "chain:4", "forest")),
+        CHAIN_AND_FENCE,
+    ],
+    ids=lambda fam: fam.name,
+)
+def test_matcher_matches_is_admissible(fam):
+    # the search calls its matcher only on admissible chosen sets and x outside them
+    rng = random.Random(fam.name)
+    outcomes = []
+    while len(outcomes) < 150:
+        S = set(rng.sample(range(1, 61), rng.randint(0, 10)))
+        x = rng.randint(1, 60)
+        if x in S or not is_admissible(S, fam):
+            continue
+        outcomes.append(admissible_with(S, x, fam))
+        assert outcomes[-1] == is_admissible(S | {x}, fam), (S, x)
+    assert True in outcomes and False in outcomes
+
+
+def test_str_and_tuple_keys_share_one_memo():
+    # 3 * 2**21 is above the largest code point, so with gcd 1 the whole set is
+    # keyed by a tuple, while its parts with gcd 3 * 2**21 get str keys
+    clear_caches()
+    assert size_polynomial({1, 3 * 2**21, 3 * 2**22}, TWO_FORK) == (1, 3, 3)
+    assert size_polynomial({1, 2, 4}, TWO_FORK) == (1, 3, 3)
+    assert {type(key) for key in solver._MEMO[TWO_FORK.family_hash]} == {str, tuple}
+    # 1 divides the other three, so every triple with 1 is a fork
+    assert size_polynomial({1, 3 * 2**21, 3 * 2**22, 5}, TWO_FORK) == (1, 4, 6, 1)
+    assert size_polynomial({1, 2, 4, 5}, TWO_FORK) == (1, 4, 6, 1)
+    clear_caches()
+
+
+def test_bool_elements_are_rejected():
+    # True == 1, but a bool is not an element
+    for S in ([True, 2, 4], [1, True], [False]):
+        with pytest.raises(ValueError):
+            size_polynomial(S, TWO_FORK)
 
 
 def test_memo_is_shared_across_scaled_blocks():
