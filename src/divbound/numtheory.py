@@ -45,33 +45,22 @@ def smooth_numbers(i: int, limit: int) -> Iterator[int]:
                 heapq.heappush(heap, m)
 
 
-def divisor_components(elements: Iterable[int]) -> dict[int, int]:
-    """Map each element, in increasing order, to its component's representative in the
-    divisor graph on the elements (union-find over the divisor pairs)."""
-    pool = sorted(set(elements))
-    parent = {v: v for v in pool}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, a in enumerate(pool):
-        for b in pool[i + 1 :]:
-            if b % a == 0:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    return {v: find(v) for v in pool}
-
-
 def divisor_connected_component(elements: Iterable[int], root: int) -> tuple[int, ...]:
-    """Component of `root` in the divisor graph restricted to the given element set."""
-    rep = divisor_components(elements)
-    if root not in rep:
+    """Component of `root` in the divisor graph restricted to the given element set,
+    in increasing order, by flood fill from root."""
+    rest = set(elements)
+    if root not in rest:
         raise ValueError(f"root {root} is not among the elements")
-    return tuple(v for v, r in rep.items() if r == rep[root])
+    rest.remove(root)
+    comp = [root]
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        linked = [u for u in rest if u % v == 0 or v % u == 0]
+        rest.difference_update(linked)
+        comp += linked
+        stack += linked
+    return tuple(sorted(comp))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 the solver's local increments back to globally enumerated values.
 
 The subset scans here never call the solver's pruned search; they walk every
-admissible subset of {1..n} directly over bitmasks with their own incremental
-admissibility bookkeeping.
+admissible subset of {1..n} over bitmasks, testing each added element with
+patterns.Checker, the matcher that is_admissible uses too, not the solver's.
 """
 
 from __future__ import annotations
@@ -12,154 +12,36 @@ import math
 from fractions import Fraction
 
 from .numtheory import rooted_component
-from .patterns import (
-    REL_DIVISOR,
-    REL_EITHER,
-    REL_MULTIPLE,
-    AdmissibleFamily,
-    Pattern,
-    placement_plan,
-)
+from .patterns import AdmissibleFamily, Checker
 from .series import TruncationParams, enumerate_triples, term_weight_exact
 from .solver import COUNTING, DENSITY, Mode, ResourceLimitError, local_increment, solve_block
 
 EXHAUSTIVE_CAP = 24
 
 
-def _divisibility_masks(n: int) -> tuple[list[int], list[int], list[int]]:
-    """Per element e in 1..n: bitmasks of its proper multiples, proper divisors, both.
-
-    Element e is encoded as bit e-1.
-    """
-    mult = [0] * (n + 1)
-    div = [0] * (n + 1)
-    for e in range(1, n + 1):
-        for m in range(2 * e, n + 1, e):
-            mult[e] |= 1 << (m - 1)
-            div[m] |= 1 << (e - 1)
-    both = [0] + [mult[e] | div[e] for e in range(1, n + 1)]
-    return mult, div, both
-
-
-class _MaskMatcher:
-    """Detects pattern copies through a new element inside a bitmask-encoded set."""
-
-    def __init__(self, pattern: Pattern, masks: tuple[list[int], list[int], list[int]]):
-        self.plans = [placement_plan(pattern, anchor) for anchor in range(pattern.vertex_count)]
-        self.mult, self.div, self.both = masks
-
-    def _rel_mask(self, rel: int, element: int) -> int:
-        if rel == REL_MULTIPLE:
-            return self.mult[element]
-        if rel == REL_DIVISOR:
-            return self.div[element]
-        return self.both[element]
-
-    def _extend(self, plan, step_idx: int, images: list[int], pool: int, used: int) -> bool:
-        if step_idx == len(plan):
-            return True
-        cand = pool & ~used
-        for slot, rel in plan[step_idx]:
-            cand &= self._rel_mask(rel, images[slot])
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            images.append(bit.bit_length())
-            if self._extend(plan, step_idx + 1, images, pool, used | bit):
-                return True
-            images.pop()
-        return False
-
-    def creates_copy(self, chosen: int, x: int) -> bool:
-        for plan in self.plans:
-            if self._extend(plan, 0, [x], chosen, 0):
-                return True
-        return False
-
-
-class _ForestTracker:
-    """Union-find over chosen elements with rollback, for incremental cycle checks."""
-
-    def __init__(self, n: int, both_masks: list[int]):
-        self.parent = list(range(n + 1))
-        self.size = [1] * (n + 1)
-        self.both = both_masks
-        self.trail: list[list[tuple[int, int]]] = []
-
-    def _find(self, v: int) -> int:
-        while self.parent[v] != v:
-            v = self.parent[v]
-        return v
-
-    def try_include(self, x: int, chosen: int) -> bool:
-        neighbors = self.both[x] & chosen
-        roots = []
-        m = neighbors
-        while m:
-            bit = m & -m
-            m ^= bit
-            r = self._find(bit.bit_length())
-            if r in roots:
-                return False
-            roots.append(r)
-        merged = []
-        for r in roots:
-            ra, rb = self._find(r), self._find(x)
-            if self.size[ra] > self.size[rb]:
-                ra, rb = rb, ra
-            self.parent[ra] = rb
-            self.size[rb] += self.size[ra]
-            merged.append((ra, rb))
-        self.trail.append(merged)
-        return True
-
-    def undo(self) -> None:
-        for a, b in reversed(self.trail.pop()):
-            self.size[b] -= self.size[a]
-            self.parent[a] = a
-
-
-class _IncrementalChecker:
-    """Grows and shrinks one admissible set, vetoing additions that break the family."""
-
-    def __init__(self, n: int, family: AdmissibleFamily):
-        masks = _divisibility_masks(n)
-        self.matchers = [_MaskMatcher(p, masks) for p in family.patterns]
-        self.forest = _ForestTracker(n, masks[2]) if family.forbid_cycles else None
-        self.chosen = 0
-
-    def try_include(self, x: int) -> bool:
-        for matcher in self.matchers:
-            if matcher.creates_copy(self.chosen, x):
-                return False
-        if self.forest is not None and not self.forest.try_include(x, self.chosen):
-            return False
-        self.chosen |= 1 << (x - 1)
-        return True
-
-    def undo(self, x: int) -> None:
-        self.chosen &= ~(1 << (x - 1))
-        if self.forest is not None:
-            self.forest.undo()
+def _scan_checker(n: int, fam: AdmissibleFamily) -> Checker:
+    """The checker for subsets of {1..n}, element e at bit e-1, once n is in range."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n!r}")
+    if n > EXHAUSTIVE_CAP:
+        raise ResourceLimitError(f"exhaustive scan is capped at n <= {EXHAUSTIVE_CAP}, got {n}")
+    return Checker(range(1, n + 1), fam)
 
 
 def brute_size_counts(n: int, fam: AdmissibleFamily) -> list[int]:
     """Number of admissible subsets of {1..n} of each size, by exhaustive scan."""
-    if not 1 <= n <= EXHAUSTIVE_CAP:
-        raise ResourceLimitError(f"exhaustive scan is capped at n <= {EXHAUSTIVE_CAP}, got {n}")
-    checker = _IncrementalChecker(n, fam)
+    checker = _scan_checker(n, fam)
     hist = [0] * (n + 1)
 
-    def walk(x: int, size: int) -> None:
-        if x > n:
+    def walk(x: int, chosen: int, size: int) -> None:
+        if x == n:
             hist[size] += 1
             return
-        walk(x + 1, size)
-        if checker.try_include(x):
-            walk(x + 1, size + 1)
-            checker.undo(x)
+        walk(x + 1, chosen, size)
+        if checker.allows(chosen, x):
+            walk(x + 1, chosen | 1 << x, size + 1)
 
-    walk(1, 0)
+    walk(0, 0, 0)
     return hist
 
 
@@ -170,28 +52,22 @@ def brute_count(n: int, fam: AdmissibleFamily) -> int:
 
 def brute_max_size(n: int, fam: AdmissibleFamily) -> int:
     """Largest admissible subset size in {1..n}, by exhaustive scan up to n = 24."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n!r}")
-    if n > EXHAUSTIVE_CAP:
-        raise ResourceLimitError(f"brute-force maximum is capped at n <= {EXHAUSTIVE_CAP}, got {n}")
-    checker = _IncrementalChecker(n, fam)
+    checker = _scan_checker(n, fam)
     best = 0
 
-    def walk(x: int, size: int) -> None:
+    def walk(x: int, chosen: int, size: int) -> None:
         nonlocal best
-        if x > n:
-            if size > best:
-                best = size
+        if x == n:
+            best = max(best, size)
             return
-        if size + (n - x + 1) <= best:
+        if size + (n - x) <= best:
             return
-        if checker.try_include(x):
-            walk(x + 1, size + 1)
-            checker.undo(x)
-        if size + (n - x) > best:
-            walk(x + 1, size)
+        if checker.allows(chosen, x):
+            walk(x + 1, chosen | 1 << x, size + 1)
+        if size + (n - x - 1) > best:
+            walk(x + 1, chosen, size)
 
-    walk(1, 0)
+    walk(0, 0, 0)
     return best
 
 
@@ -204,8 +80,10 @@ def telescope_check(n: int, fam: AdmissibleFamily) -> dict:
     """
     if not 1 <= n <= EXHAUSTIVE_CAP:
         raise ValueError(f"telescoping check needs 1 <= n <= {EXHAUSTIVE_CAP}, got {n!r}")
-    f = brute_max_size(n, fam)
-    q = brute_count(n, fam)
+    # one scan gives both: q counts every admissible subset, f is the largest size
+    hist = brute_size_counts(n, fam)
+    f = max(k for k, c in enumerate(hist) if c)
+    q = sum(hist)
     g_seq: list[int] = []
     h_seq: list[float] = []
     failure: dict | None = None

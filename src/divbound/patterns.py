@@ -3,6 +3,10 @@
 An admissible family is a downward-closed, dilation-invariant collection of finite
 integer sets, described here by a finite list of forbidden connected patterns plus
 an optional acyclicity requirement on the divisor graph (the "forest" family).
+
+Checker decides it over bitmasks of a sorted pool, one added element at a time;
+is_admissible, contains_pattern and the brute-force oracle all run on it. The
+solver's search keeps a matcher of its own.
 """
 
 from __future__ import annotations
@@ -11,9 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
-
-from .numtheory import divisor_components
+from typing import Iterable, Sequence
 
 MAX_PATTERN_VERTICES = 8
 
@@ -170,60 +172,11 @@ def placement_plan(pattern: Pattern, anchor: int) -> tuple[tuple[tuple[int, int]
     return tuple(steps)
 
 
-def _eligible(value: int, images: list[int], constraints: tuple[tuple[int, int], ...]) -> bool:
-    for slot, rel in constraints:
-        a = images[slot]
-        if rel == REL_MULTIPLE:
-            if value % a:
-                return False
-        elif rel == REL_DIVISOR:
-            if a % value:
-                return False
-        elif value % a and a % value:
-            return False
-    return True
-
-
-def _extend(plan, step_idx: int, images: list[int], used: set[int], pool: tuple[int, ...]) -> bool:
-    if step_idx == len(plan):
-        return True
-    constraints = plan[step_idx]
-    for cand in pool:
-        if cand in used or not _eligible(cand, images, constraints):
-            continue
-        images.append(cand)
-        used.add(cand)
-        if _extend(plan, step_idx + 1, images, used, pool):
-            return True
-        images.pop()
-        used.remove(cand)
-    return False
-
-
-def contains_pattern(S: Iterable[int], pattern: Pattern) -> bool:
-    """Does the divisor graph on S contain a (not necessarily induced) copy of the pattern?"""
-    pool = tuple(sorted(set(S)))
-    if len(pool) < pattern.vertex_count:
-        return False
-    anchor = max(range(pattern.vertex_count), key=lambda w: (pattern.degree(w), -w))
-    plan = placement_plan(pattern, anchor)
-    for first in pool:
-        if _extend(plan, 0, [first], {first}, pool):
-            return True
-    return False
-
-
 @lru_cache(maxsize=None)
 def _distinct_plans(pattern: Pattern) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
     """placement_plan for every anchor, each distinct plan once: anchors with equal
     plans, such as the leaves of a fork, would run the same search."""
     return tuple(dict.fromkeys(placement_plan(pattern, a) for a in range(pattern.vertex_count)))
-
-
-def _has_divisor_cycle(pool: tuple[int, ...]) -> bool:
-    """A graph is a forest exactly when it has (vertices - components) edges."""
-    edges = sum(1 for i, a in enumerate(pool) for b in pool[i + 1 :] if b % a == 0)
-    return edges > len(pool) - len(set(divisor_components(pool).values()))
 
 
 @dataclass(frozen=True)
@@ -250,12 +203,91 @@ class AdmissibleFamily:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def is_admissible(S: Iterable[int], family: AdmissibleFamily) -> bool:
-    """Does S avoid every forbidden pattern (and cycles, for forest families)?"""
-    pool = tuple(sorted(set(S)))
-    if family.forbid_cycles and _has_divisor_cycle(pool):
+class Checker:
+    """Admissibility of subsets of one strictly increasing pool of positive integers,
+    each subset a bitmask with bit i standing for pool[i].
+
+    A set is grown one element at a time, and allows(chosen, x) tests the one new
+    element: any pattern copy or cycle that chosen + {x} has and chosen lacks uses x.
+    """
+
+    __slots__ = ("adj", "plans", "forest")
+
+    def __init__(self, pool: Sequence[int], family: AdmissibleFamily):
+        mult = [0] * len(pool)
+        div = [0] * len(pool)
+        for j, b in enumerate(pool):
+            for i in range(j):
+                if b % pool[i] == 0:
+                    mult[i] |= 1 << j
+                    div[j] |= 1 << i
+        self.adj = [m | d for m, d in zip(mult, div)]
+        # a plan step's relations become the mask lists they select, so the
+        # candidates of a step are an AND of masks
+        masks = {REL_MULTIPLE: mult, REL_DIVISOR: div, REL_EITHER: self.adj}
+        self.plans = [
+            tuple(tuple((slot, masks[rel]) for slot, rel in step) for step in plan)
+            for pattern in family.patterns
+            for plan in _distinct_plans(pattern)
+        ]
+        self.forest = family.forbid_cycles
+
+    def allows(self, chosen: int, x: int) -> bool:
+        """Is chosen + {x} admissible, for an admissible mask chosen without bit x?"""
+        if self.forest:
+            # x closes a cycle when two of its chosen neighbours are already
+            # connected inside chosen: flood-fill from one and look for another
+            adj = self.adj
+            nbrs = adj[x] & chosen
+            while nbrs:
+                comp = frontier = nbrs & -nbrs
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    grow = adj[low.bit_length() - 1] & chosen & ~comp
+                    comp |= grow
+                    frontier |= grow
+                if (comp & nbrs).bit_count() > 1:
+                    return False
+                nbrs &= ~comp
+        size = chosen.bit_count()
+        for plan in self.plans:
+            # the plan puts x in its anchor slot and one chosen element per step
+            if len(plan) <= size and (not plan or self._places(plan, [x], chosen)):
+                return False
+        return True
+
+    def _places(self, plan, images: list[int], free: int) -> bool:
+        """Can the steps of plan from len(images) - 1 on take distinct elements of
+        the mask free, images[s] being the index placed in slot s?"""
+        cand = free
+        for slot, masks in plan[len(images) - 1]:
+            cand &= masks[images[slot]]
+        if len(images) == len(plan):
+            return bool(cand)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            images.append(low.bit_length() - 1)
+            if self._places(plan, images, free ^ low):
+                return True
+            images.pop()
         return False
-    return not any(contains_pattern(pool, p) for p in family.patterns)
+
+
+def is_admissible(S: Iterable[int], family: AdmissibleFamily) -> bool:
+    """Does S avoid every forbidden pattern (and cycles, for forest families)?
+
+    The elements arrive in increasing order, so a copy or a cycle is caught when its
+    last element does."""
+    pool = sorted(set(S))
+    checker = Checker(pool, family)
+    return all(checker.allows((1 << i) - 1, i) for i in range(len(pool)))
+
+
+def contains_pattern(S: Iterable[int], pattern: Pattern) -> bool:
+    """Does the divisor graph on S contain a (not necessarily induced) copy of the pattern?"""
+    return not is_admissible(S, AdmissibleFamily("pattern", (pattern,)))
 
 
 def r_fork(r: int) -> Pattern:

@@ -118,6 +118,14 @@ def test_exhaustive_cap_enforced():
         brute_max_size(EXHAUSTIVE_CAP + 1, TWO_FORK)
 
 
+@pytest.mark.parametrize("scan", [brute_count, brute_size_counts, brute_max_size, telescope_check])
+def test_scans_reject_n_below_one(scan):
+    # an empty or negative range is invalid input, not a resource limit
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            scan(n, TWO_FORK)
+
+
 def test_cross_mode_max_size_above_cap():
     # above the exhaustive cap only the solver answers
     assert DENSITY.value(size_polynomial(range(1, 31), CHAIN2)) == 15

@@ -202,30 +202,60 @@ def test_two_fork_semantic_restatement():
         assert is_admissible(S, fam) == (not divides_two)
 
 
+def acyclic_by_edge_count(S):
+    """Independent forest test: the divisor graph on S is acyclic iff it has
+    exactly |S| - (number of components) edges."""
+    S = sorted(set(S))
+    edges = sum(
+        1 for i, a in enumerate(S) for b in S[i + 1:] if b % a == 0
+    )
+    comps = 0
+    seen = set()
+    for v in S:
+        if v in seen:
+            continue
+        comps += 1
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            if u in seen:
+                continue
+            seen.add(u)
+            stack.extend(w for w in S if w != u and (w % u == 0 or u % w == 0))
+    return edges == len(S) - comps
+
+
 def test_forest_cycle_detection_matches_edge_count():
-    # acyclic iff every divisor-component has exactly |V|-1 edges
     rng = random.Random(333)
     forest = builtin_family("forest")
     for _ in range(150):
         S = sorted(set(rng.sample(range(1, 41), rng.randint(0, 9))))
-        edges = sum(
-            1 for i, a in enumerate(S) for b in S[i + 1:] if b % a == 0
-        )
-        comps = 0
-        seen = set()
-        for v in S:
-            if v in seen:
-                continue
-            comps += 1
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                if u in seen:
-                    continue
-                seen.add(u)
-                stack.extend(w for w in S if w != u and (w % u == 0 or u % w == 0))
-        acyclic = edges == len(S) - comps
-        assert is_admissible(S, forest) == acyclic
+        assert is_admissible(S, forest) == acyclic_by_edge_count(S)
+
+
+def test_mixed_json_family_matches_independent_checks():
+    # an undirected star (one element comparable with three others), a directed
+    # fence (a | b, c | b, c | d) and acyclicity: no rule implies another, and a
+    # set is admissible exactly when neither pattern has a copy and it is a forest
+    def edge(a, b, directed):
+        return {"from": a, "to": b, "directed": directed}
+
+    fam = family_from_json({
+        "patterns": [
+            {"vertices": 4, "edges": [edge(0, 1, False), edge(0, 2, False), edge(0, 3, False)]},
+            {"vertices": 4, "edges": [edge(0, 1, True), edge(2, 1, True), edge(2, 3, True)]},
+        ],
+        "forest": True,
+    }, "mixed")
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(200):
+        S = set(rng.sample(range(1, 31), rng.randint(0, 7)))
+        rules = (not acyclic_by_edge_count(S), *(brute_contains(S, p) for p in fam.patterns))
+        assert is_admissible(S, fam) == (not any(rules)), sorted(S)
+        seen.add(rules)
+    # every rule rejects some set on its own, and some sets pass
+    assert {(False, False, False), (True, False, False), (False, True, False), (False, False, True)} <= seen
 
 
 def test_builtin_family_parsing():
