@@ -11,11 +11,21 @@ solver's search keeps a matcher of its own.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
+
+# The interpreter's built-in SHA-256, as CPython's random module takes its sha512:
+# hashlib would load OpenSSL's libcrypto (about 3.6 MB of RSS) to hash one short
+# family description. The digest is the same whichever module computes it.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 MAX_PATTERN_VERTICES = 8
 
@@ -200,7 +210,7 @@ class AdmissibleFamily:
             "forest": self.forbid_cycles,
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return _sha256(blob).hexdigest()[:16]
 
 
 class Checker:

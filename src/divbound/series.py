@@ -13,7 +13,6 @@ for small budgets and testing.
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -31,7 +30,14 @@ from .numtheory import (
 )
 from .solver import BlockRecord, Mode, local_increment, resolve_node_limit, solve_block
 
-log = logging.getLogger(__name__)
+
+def _warn(msg: str, *args: object) -> None:
+    """Log a cache-file warning on the divbound.series logger, attributed to the
+    caller. logging is imported here, not at module load: only a faulty cache file
+    needs it."""
+    import logging
+
+    logging.getLogger(__name__).warning(msg, *args, stacklevel=2)
 
 
 @dataclass(frozen=True)
@@ -165,7 +171,7 @@ class BlockCache:
         except FileNotFoundError:
             return
         except OSError as exc:
-            log.warning("cannot read cache file %s (%s); continuing in memory", path, exc)
+            _warn("cannot read cache file %s (%s); continuing in memory", path, exc)
             self.path = None
             return
         lines = self._lines
@@ -187,7 +193,7 @@ class BlockCache:
                     else:
                         raise ValueError(f"unknown mode {mode_tag!r}")
                 except ValueError as exc:
-                    log.warning("skipping unreadable cache line %d in %s (%s)", lineno, path, exc)
+                    _warn("skipping unreadable cache line %d in %s (%s)", lineno, path, exc)
                     continue
                 lines.setdefault((family_hash, mode_tag, elems_csv, root_s), (full, deleted))
 
@@ -216,7 +222,7 @@ class BlockCache:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
         except OSError as exc:
-            log.warning("cannot append to cache file %s (%s); continuing in memory", self.path, exc)
+            _warn("cannot append to cache file %s (%s); continuing in memory", self.path, exc)
             self.path = None
 
     def lookup_or_solve(

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -278,6 +279,17 @@ def test_family_hash_stability_and_separation():
     assert a.family_hash == b.family_hash
     assert a.family_hash != builtin_family("chain:2").family_hash
     assert a.family_hash != builtin_family("forest").family_hash
+    # every cache file keys its lines by these digests: a changed one makes each
+    # existing file inert, so they are pinned, and checked against hashlib's SHA-256
+    # of the canonical family JSON
+    pinned = {
+        "two-fork": ("d84b08e7f815125a", {"patterns": [[3, [[0, 1, True], [0, 2, True]]]], "forest": False}),
+        "chain:2": ("a25235ee09673e85", {"patterns": [[2, [[0, 1, True]]]], "forest": False}),
+        "forest": ("c78481e808d3136f", {"patterns": [], "forest": True}),
+    }
+    for name, (digest, payload) in pinned.items():
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        assert builtin_family(name).family_hash == digest == hashlib.sha256(blob).hexdigest()[:16], name
 
 
 def test_family_from_json_round_trip(tmp_path):

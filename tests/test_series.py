@@ -1,10 +1,15 @@
+import json
 import logging
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import divbound
 from divbound import numtheory, series
 from divbound.cli import main
 from divbound.numtheory import canonical_key, primes_up_to, rooted_component
@@ -27,6 +32,8 @@ from divbound.solver import COUNTING, DENSITY, ResourceLimitError, clear_caches,
 
 TWO_FORK = builtin_family("two-fork")
 CHAIN2 = builtin_family("chain:2")
+# the directory divbound was imported from, so child processes run the same code
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(divbound.__file__)))
 
 
 def test_truncation_params_validation():
@@ -375,6 +382,43 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
     assert reloaded.misses == 0
 
 
+# Run in a fresh interpreter started with -S, so that no .pth file of the site
+# directories can load a module before divbound does; nothing configures logging.
+_FOOTPRINT_SCRIPT = """
+import json, sys
+from divbound.patterns import builtin_family
+from divbound.series import BlockCache, TruncationParams, evaluate
+from divbound.solver import COUNTING
+
+path = sys.argv[1]
+cache = BlockCache(path)
+evaluate(builtin_family("two-fork"), COUNTING, TruncationParams(10.0, 1e5), cache)
+loaded = sorted(m for m in ("hashlib", "_hashlib", "logging") if m in sys.modules)
+with open(path, "a") as fh:
+    fh.write("garbage line without tabs\\n")
+print(json.dumps({"loaded": loaded, "written": len(cache), "reloaded": len(BlockCache(path))}))
+"""
+
+
+def test_evaluate_imports_neither_hashlib_nor_logging(tmp_path):
+    path = tmp_path / "blocks.tsv"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _FOOTPRINT_SCRIPT, str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == []
+    assert out["written"] > 0 and out["reloaded"] == out["written"]
+    # the warning names the appended last line and reaches stderr through
+    # logging's last-resort handler
+    lineno = len(path.read_text().splitlines())
+    [warning] = proc.stderr.splitlines()
+    assert warning.startswith(f"skipping unreadable cache line {lineno} in {path} (")
+
+
 SAFETY_PARAMS = TruncationParams(10.0, 2000.0)
 SAFETY_MODES = (DENSITY, COUNTING)
 
@@ -553,6 +597,21 @@ def test_cache_unwritable_path_degrades(tmp_path, caplog):
         cache.lookup_or_solve(canonical_key(rooted_component(2, 5)), TWO_FORK, DENSITY)
         cache.lookup_or_solve(canonical_key(rooted_component(2, 5)), TWO_FORK, DENSITY)
     assert cache.hits == 1
+    [record] = caplog.records
+    assert (record.name, record.levelno, record.funcName) == ("divbound.series", logging.WARNING, "_append")
+    assert record.getMessage().startswith(f"cannot append to cache file {bad} (")
+    assert record.getMessage().endswith("); continuing in memory")
+
+
+def test_cache_unreadable_path_degrades(tmp_path, caplog):
+    # a directory cannot be opened as a file
+    with caplog.at_level(logging.WARNING):
+        cache = BlockCache(str(tmp_path))
+        cache.lookup_or_solve(canonical_key(rooted_component(2, 5)), TWO_FORK, DENSITY)
+    assert cache.path is None and len(cache) == 1
+    [record] = caplog.records
+    assert (record.name, record.levelno, record.funcName) == ("divbound.series", logging.WARNING, "_load")
+    assert record.getMessage().startswith(f"cannot read cache file {tmp_path} (")
 
 
 def test_collect_blocks_top_entry_and_total():
