@@ -3,7 +3,8 @@ the solver's local increments back to globally enumerated values.
 
 The subset scans here never call the solver's pruned search; they walk every
 admissible subset of {1..n} over bitmasks, testing each added element with
-patterns.Checker, the matcher that is_admissible uses too, not the solver's.
+patterns.Checker. The search shares that matcher, so a scan checks the search's
+own branching, pruning, keys, packing and memo; the matcher is tested apart.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ An admissible family is a downward-closed, dilation-invariant collection of fini
 integer sets, described here by a finite list of forbidden connected patterns plus
 an optional acyclicity requirement on the divisor graph (the "forest" family).
 
-Checker decides it over bitmasks of a sorted pool, one added element at a time;
-is_admissible, contains_pattern and the brute-force oracle all run on it. The
-solver's search keeps a matcher of its own.
+Checker decides it over bitmasks of a sorted pool, one added element at a time.
+It is the one matcher: is_admissible, contains_pattern, the brute-force oracle and
+the solver's search (a subclass of it) all run on it.
 """
 
 from __future__ import annotations
@@ -245,21 +245,23 @@ class Checker:
     def allows(self, chosen: int, x: int) -> bool:
         """Is chosen + {x} admissible, for an admissible mask chosen without bit x?"""
         if self.forest:
-            # x closes a cycle when two of its chosen neighbours are already
-            # connected inside chosen: flood-fill from one and look for another
+            # x closes a cycle when two of its chosen neighbours are connected inside
+            # chosen: flood-fill from each in turn, over what is still unreached
             adj = self.adj
             nbrs = adj[x] & chosen
+            todo = chosen
             while nbrs:
-                comp = frontier = nbrs & -nbrs
+                frontier = nbrs & -nbrs
+                nbrs ^= frontier
+                todo ^= frontier
                 while frontier:
                     low = frontier & -frontier
                     frontier ^= low
-                    grow = adj[low.bit_length() - 1] & chosen & ~comp
-                    comp |= grow
+                    grow = adj[low.bit_length() - 1] & todo
+                    if grow & nbrs:
+                        return False
+                    todo ^= grow
                     frontier |= grow
-                if (comp & nbrs).bit_count() > 1:
-                    return False
-                nbrs &= ~comp
         size = chosen.bit_count()
         for plan in self.plans:
             # the plan puts x in its anchor slot and one chosen element per step
@@ -285,12 +287,24 @@ class Checker:
         return False
 
 
+def validated_elements(S: Iterable[int]) -> tuple[int, ...]:
+    """The distinct elements of S, sorted; ValueError unless each is a positive int."""
+    out = set()
+    for v in S:
+        # bool is a subclass of int, but True is not the element 1
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ValueError(f"elements must be positive integers, got {v!r}")
+        out.add(v)
+    return tuple(sorted(out))
+
+
 def is_admissible(S: Iterable[int], family: AdmissibleFamily) -> bool:
     """Does S avoid every forbidden pattern (and cycles, for forest families)?
+    ValueError unless every element is a positive int.
 
     The elements arrive in increasing order, so a copy or a cycle is caught when its
     last element does."""
-    pool = sorted(set(S))
+    pool = validated_elements(S)
     checker = Checker(pool, family)
     return all(checker.allows((1 << i) - 1, i) for i in range(len(pool)))
 

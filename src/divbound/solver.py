@@ -22,7 +22,7 @@ from operator import or_
 from typing import Iterable
 
 from .numtheory import CanonicalKey, RootedComponent, canonical_key
-from .patterns import REL_DIVISOR, REL_EITHER, REL_MULTIPLE, AdmissibleFamily, _distinct_plans
+from .patterns import AdmissibleFamily, Checker, validated_elements
 
 DEFAULT_NODE_LIMIT = 10**6
 NODE_LIMIT_ENV = "DIVBOUND_NODE_LIMIT"
@@ -129,16 +129,6 @@ def resolve_node_limit(node_limit: int | None) -> int:
     return node_limit
 
 
-def _validated_elements(S: Iterable[int]) -> tuple[int, ...]:
-    out = set()
-    for v in S:
-        # bool is a subclass of int, but True is not the element 1
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ValueError(f"elements must be positive integers, got {v!r}")
-        out.add(v)
-    return tuple(sorted(out))
-
-
 _MEMO: dict[str, dict] = {}
 
 
@@ -182,7 +172,12 @@ def _selectors(mask: int) -> bytes:
 _KEY_CHARS = sys.maxunicode + 1
 
 
-class _Search:
+# the matcher of patterns.Checker, called once per search node under this module
+# name, so that replacing it here counts or times the nodes
+is_admissible_with = Checker.allows
+
+
+class _Search(Checker):
     """Include/exclude recursion over (undecided, chosen) states, valued by the size
     polynomial (a_0, ..., a_m): a_k counts the k-subsets A of the undecided part with
     chosen+A admissible. The chosen part is always admissible.
@@ -194,9 +189,9 @@ class _Search:
     multiplication give the packed sum and product with no carry between slots.
     The format stays inside this class: polynomial() unpacks a value to its tuple.
 
-    A state is a pair of bitmasks over the sorted elements. mult[j] and div[j] are
-    the masks of the proper multiples and proper divisors of element j, and adj[j]
-    their union, built once per search; the matcher is_admissible_with walks them.
+    A state is a pair of bitmasks over the sorted elements. The search is the
+    patterns.Checker of its elements: adj[j] masks the elements comparable with
+    element j, and is_admissible_with, the checker's allows, decides each include.
 
     A new forbidden copy holds an undecided element x and is connected, so it lies
     within radius steps of x: the largest Pattern.diameter, taken on the pattern's
@@ -212,30 +207,14 @@ class _Search:
     Keys are per family, shared by every mode, and the memo is insert-only.
     """
 
-    __slots__ = ("family", "memo", "nodes_left", "limit", "label", "elements", "adj", "radius", "plans")
+    __slots__ = ("memo", "nodes_left", "limit", "label", "elements", "radius")
 
     def __init__(self, family: AdmissibleFamily, elements: tuple[int, ...], node_limit: int, label: str):
-        self.family = family
+        super().__init__(elements, family)
         self.limit = node_limit
         self.nodes_left = node_limit
         self.label = label
         self.elements = elements
-        mult = [0] * len(elements)
-        div = [0] * len(elements)
-        for j, a in enumerate(elements):
-            for k in range(j):
-                if a % elements[k] == 0:
-                    div[j] |= 1 << k
-                    mult[k] |= 1 << j
-        self.adj = adj = list(map(or_, mult, div))
-        # each placement plan with its relations turned into the mask lists they
-        # select, so a step's candidates are an AND of masks
-        masks = {REL_MULTIPLE: mult, REL_DIVISOR: div, REL_EITHER: adj}
-        self.plans = [
-            tuple(tuple((slot, masks[rel]) for slot, rel in step) for step in plan)
-            for pattern in family.patterns
-            for plan in _distinct_plans(pattern)
-        ]
         self.memo = _MEMO.setdefault(family.family_hash, {})
         # 0 turns pruning off; at least 1 keeps an included element that has an
         # undecided neighbour, so the include branch's derived key stays pruned
@@ -369,61 +348,11 @@ class _Search:
         return without + (with_x << w)
 
 
-def is_admissible_with(search: _Search, chosen: int, x: int) -> bool:
-    """Given the mask chosen of an admissible set of search's elements and the index x
-    of an element outside it, decide whether chosen + {x} stays admissible.
-
-    Only structures through x need checking: any new pattern copy or cycle uses x.
-    """
-    if search.family.forbid_cycles:
-        # a cycle through x joins two chosen neighbours of x inside chosen
-        adj = search.adj
-        nbrs = adj[x] & chosen
-        todo = chosen
-        while nbrs:
-            frontier = nbrs & -nbrs
-            nbrs ^= frontier
-            todo ^= frontier
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                grow = adj[low.bit_length() - 1] & todo
-                if grow & nbrs:
-                    return False
-                todo ^= grow
-                frontier |= grow
-    size = chosen.bit_count()
-    for plan in search.plans:
-        # a plan places x first, then one chosen element per step
-        if len(plan) <= size and (not plan or _places(plan, 0, [x], chosen)):
-            return False
-    return True
-
-
-def _places(plan, step: int, images: list[int], pool: int) -> bool:
-    """Can the steps of plan from step on take distinct elements of the mask pool,
-    images[s] being the index placed at slot s so far?"""
-    cand = pool
-    for slot, masks in plan[step]:
-        cand &= masks[images[slot]]
-    step += 1
-    if step == len(plan):
-        return bool(cand)
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        images.append(low.bit_length() - 1)
-        if _places(plan, step, images, pool ^ low):
-            return True
-        images.pop()
-    return False
-
-
 def size_polynomial(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int | None = None) -> tuple[int, ...]:
     """Exact coefficients (a_0, ..., a_m) of P(x) = sum of a_k x**k, where a_k counts the
     admissible k-subsets of S; a_0 = 1 (the empty set) and a_m > 0 (m is the largest size).
     """
-    elements = _validated_elements(S)
+    elements = validated_elements(S)
     label = f"{fam.name} on {len(elements)} elements"
     return _Search(fam, elements, resolve_node_limit(node_limit), label).polynomial((1 << len(elements)) - 1)
 

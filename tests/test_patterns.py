@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import random
 
@@ -20,27 +19,9 @@ from divbound.patterns import (
     r_fork,
     two_fork,
 )
+from divbound.solver import size_polynomial
 
-
-def brute_contains(S, pattern):
-    """Independent containment check: try every injective vertex assignment."""
-    elems = sorted(S)
-    if len(elems) < pattern.vertex_count:
-        return False
-    for images in itertools.permutations(elems, pattern.vertex_count):
-        ok = True
-        for u, v, directed in pattern.edges:
-            a, b = images[u], images[v]
-            if directed:
-                if b % a != 0:
-                    ok = False
-                    break
-            elif a % b != 0 and b % a != 0:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+from independent import acyclic_by_edge_count, brute_contains
 
 
 def test_builtin_shapes():
@@ -132,6 +113,21 @@ def test_is_admissible_examples():
     assert is_admissible({1, 2, 3}, forest)  # star
 
 
+@pytest.mark.parametrize(
+    "S",
+    [[0, 2], [-1, 2, 3], [1.5, 3], [2, 2.0, 4], [True, 2, 4]],
+    ids=["zero", "negative", "float", "int-valued-float", "bool"],
+)
+def test_elements_must_be_positive_ints(S):
+    fam = builtin_family("two-fork")
+    with pytest.raises(ValueError):
+        is_admissible(S, fam)
+    with pytest.raises(ValueError):
+        contains_pattern(S, two_fork())
+    with pytest.raises(ValueError):
+        size_polynomial(S, fam)
+
+
 def test_downward_closure_random():
     rng = random.Random(7321)
     fams = [builtin_family(s) for s in ("two-fork", "chain:3", "in-fork:2", "forest")]
@@ -201,29 +197,6 @@ def test_two_fork_semantic_restatement():
             sum(1 for y in S if y != x and y % x == 0) >= 2 for x in S
         )
         assert is_admissible(S, fam) == (not divides_two)
-
-
-def acyclic_by_edge_count(S):
-    """Independent forest test: the divisor graph on S is acyclic iff it has
-    exactly |S| - (number of components) edges."""
-    S = sorted(set(S))
-    edges = sum(
-        1 for i, a in enumerate(S) for b in S[i + 1:] if b % a == 0
-    )
-    comps = 0
-    seen = set()
-    for v in S:
-        if v in seen:
-            continue
-        comps += 1
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(w for w in S if w != u and (w % u == 0 or u % w == 0))
-    return edges == len(S) - comps
 
 
 def test_forest_cycle_detection_matches_edge_count():

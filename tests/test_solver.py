@@ -22,6 +22,8 @@ from divbound.solver import (
     solve_block,
 )
 
+import independent
+
 TWO_FORK = builtin_family("two-fork")
 CHAIN2 = builtin_family("chain:2")
 FOREST = builtin_family("forest")
@@ -536,16 +538,19 @@ def test_matcher_examples():
     ids=lambda fam: fam.name,
 )
 def test_matcher_matches_is_admissible(fam):
-    # the search calls its matcher only on admissible chosen sets and x outside them
+    # is_admissible runs on the search's matcher, so the matcher is held against
+    # predicates that share no code with it: every vertex assignment of each
+    # pattern, and the edge count of a forest. The search calls its matcher only on
+    # admissible chosen sets and x outside them
     rng = random.Random(fam.name)
     outcomes = []
     while len(outcomes) < 150:
         S = set(rng.sample(range(1, 61), rng.randint(0, 10)))
         x = rng.randint(1, 60)
-        if x in S or not is_admissible(S, fam):
+        if x in S or not independent.admissible(S, fam):
             continue
         outcomes.append(admissible_with(S, x, fam))
-        assert outcomes[-1] == is_admissible(S | {x}, fam), (S, x)
+        assert outcomes[-1] == independent.admissible(S | {x}, fam), (S, x)
     assert True in outcomes and False in outcomes
 
 
