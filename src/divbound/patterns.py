@@ -4,6 +4,10 @@ An admissible family is a downward-closed, dilation-invariant collection of fini
 integer sets, described here by a finite list of forbidden connected patterns plus
 an optional acyclicity requirement on the divisor graph (the "forest" family).
 
+A Pattern builds one neighbour table from its edges, and its connectivity check,
+closure diameter and placement plans all read it. Its directed edges may not form
+a cycle: proper divisibility is a strict order, so no divisor graph has one.
+
 Checker decides it over bitmasks of a sorted pool, one added element at a time.
 It is the one matcher: is_admissible, contains_pattern, the brute-force oracle and
 the solver's search (a subclass of it) all run on it.
@@ -80,27 +84,33 @@ class Pattern:
             pairs.add(pair)
             norm.append((a, b, True) if directed else (pair[0], pair[1], False))
         object.__setattr__(self, "edges", tuple(sorted(norm)))
-        if v > 1:
-            adj: dict[int, set[int]] = {i: set() for i in range(v)}
-            for a, b, _ in self.edges:
-                adj[a].add(b)
-                adj[b].add(a)
-            seen = {0}
-            stack = [0]
-            while stack:
-                i = stack.pop()
-                for j in adj[i]:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-            if len(seen) != v:
-                raise PatternError(
-                    "pattern must be connected: a disconnected forbidden subgraph could "
-                    "straddle divisor-graph components and break component decomposition"
-                )
+        if len(_reach(self._nbrs, 0)[0]) != v:
+            raise PatternError(
+                "pattern must be connected: a disconnected forbidden subgraph could "
+                "straddle divisor-graph components and break component decomposition"
+            )
+        if any(u in below for u, below in enumerate(self._below)):
+            raise PatternError("pattern has a directed cycle, which no divisor graph contains")
 
-    def degree(self, vertex: int) -> int:
-        return sum(1 for a, b, _ in self.edges if vertex in (a, b))
+    @cached_property
+    def _nbrs(self) -> list[dict[int, int]]:
+        """_nbrs[u][w]: how the image of u must relate to the image of its neighbour w
+        (REL_DIVISOR for an edge u -> w), in edge order, the order of a plan step's constraints."""
+        nbrs = [{} for _ in range(self.vertex_count)]
+        for a, b, directed in self.edges:
+            nbrs[a][b] = REL_DIVISOR if directed else REL_EITHER
+            nbrs[b][a] = REL_MULTIPLE if directed else REL_EITHER
+        return nbrs
+
+    @cached_property
+    def _below(self) -> list[set[int]]:
+        """_below[u]: the vertices with a directed path to u, u itself only on a cycle."""
+        below = [set() for _ in range(self.vertex_count)]
+        for _ in range(self.vertex_count):
+            for a, b, directed in self.edges:
+                if directed:
+                    below[b] |= below[a] | {a}
+        return below
 
     @cached_property
     def diameter(self) -> int:
@@ -115,78 +125,53 @@ class Pattern:
         has at most this many steps, each into a chosen element, which is what the
         solver's relevance pruning keeps. A chain is a clique of its closure, so
         chain:k gives 1."""
-        v = self.vertex_count
-        below = [set() for _ in range(v)]  # below[u]: vertices with a directed path to u
-        for _ in range(v):
-            for a, b, directed in self.edges:
-                if directed:
-                    below[b] |= below[a] | {a}
-        nbrs = [set() for _ in range(v)]
-        for a, b, _ in self.edges:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        for w in range(v):
-            for u in below[w]:
-                nbrs[u].add(w)
-                nbrs[w].add(u)
-        longest = 0
-        for start in range(v):
-            seen = {start}
-            frontier = {start}
-            steps = 0
-            while frontier:
-                frontier = {w for u in frontier for w in nbrs[u]} - seen
-                seen |= frontier
-                steps += bool(frontier)
-            longest = max(longest, steps)
-        return longest
+        below = self._below
+        above = [{w for w, b in enumerate(below) if u in b} for u in range(len(below))]
+        closure = [nbrs.keys() | below[u] | above[u] for u, nbrs in enumerate(self._nbrs)]
+        return max(_reach(closure, start)[1] for start in range(self.vertex_count))
 
 
-@lru_cache(maxsize=None)
-def placement_plan(pattern: Pattern, anchor: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Backtracking schedule for matching `pattern` with the anchor vertex placed first.
-
-    Returns one step per remaining vertex, in an order where every step has at least
-    one already placed neighbour (the pattern is connected, so such an order exists).
-    Each step is a tuple of (slot, relation) constraints: the candidate must relate to
-    the image placed at position `slot` by `relation` (REL_MULTIPLE / REL_DIVISOR / REL_EITHER).
-    Vertices are taken greedily by most placed neighbours, then by degree, then index.
-    """
-    v = pattern.vertex_count
-    order = [anchor]
-    slot_of = {anchor: 0}
-    steps = []
-    while len(order) < v:
-        best = None
-        best_rank = None
-        for w in range(v):
-            if w in slot_of:
-                continue
-            placed_nbrs = 0
-            for a, b, _ in pattern.edges:
-                if w == a and b in slot_of or w == b and a in slot_of:
-                    placed_nbrs += 1
-            rank = (-placed_nbrs, -pattern.degree(w), w)
-            if best_rank is None or rank < best_rank:
-                best, best_rank = w, rank
-        constraints = []
-        for a, b, directed in pattern.edges:
-            if best == a and b in slot_of:
-                # edge best -> b or undirected
-                constraints.append((slot_of[b], REL_DIVISOR if directed else REL_EITHER))
-            elif best == b and a in slot_of:
-                constraints.append((slot_of[a], REL_MULTIPLE if directed else REL_EITHER))
-        slot_of[best] = len(order)
-        order.append(best)
-        steps.append(tuple(constraints))
-    return tuple(steps)
+def _reach(nbrs: Sequence[Iterable[int]], start: int) -> tuple[set[int], int]:
+    """Breadth-first search from start: the vertices reached, and the distance to
+    the farthest of them."""
+    seen = {start}
+    frontier = {start}
+    steps = 0
+    while frontier:
+        frontier = {w for u in frontier for w in nbrs[u]} - seen
+        seen |= frontier
+        steps += bool(frontier)
+    return seen, steps
 
 
 @lru_cache(maxsize=None)
 def _distinct_plans(pattern: Pattern) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-    """placement_plan for every anchor, each distinct plan once: anchors with equal
-    plans, such as the leaves of a fork, would run the same search."""
-    return tuple(dict.fromkeys(placement_plan(pattern, a) for a in range(pattern.vertex_count)))
+    """Backtracking schedules for matching pattern, one per anchor vertex placed
+    first, each distinct plan once: anchors with equal plans, such as the leaves of
+    a fork, would run the same search.
+
+    A plan has one step per remaining vertex, in an order where every step has at
+    least one already placed neighbour (the pattern is connected, so such an order
+    exists). Each step is a tuple of (slot, relation) constraints: the candidate must
+    relate to the image placed at position `slot` by `relation` (REL_MULTIPLE /
+    REL_DIVISOR / REL_EITHER). Vertices are taken greedily by most placed
+    neighbours, then by degree, then index.
+    """
+    v = pattern.vertex_count
+    nbrs = pattern._nbrs
+    plans = {}
+    for anchor in range(v):
+        slot_of = {anchor: 0}
+        steps = []
+        while len(slot_of) < v:
+            best = min(
+                (w for w in range(v) if w not in slot_of),
+                key=lambda w: (-len(nbrs[w].keys() & slot_of.keys()), -len(nbrs[w]), w),
+            )
+            steps.append(tuple((slot_of[w], rel) for w, rel in nbrs[best].items() if w in slot_of))
+            slot_of[best] = len(slot_of)
+        plans[tuple(steps)] = None
+    return tuple(plans)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ exact local increments, and emit a certified two-sided bound with a block cache.
 The truncation keeps triples with d * i**alpha <= budget_B, P+(d) <= i and
 t in [i*d, (i+1)*d). Within one (i, d) pair the rooted component of d in [d, t]
 can only change when t arrives at an element of the widest component, so
-plan_segments cuts the t-range into constant-component segments whose weight
+_pair_segments cuts the t-range into constant-component segments whose weight
 sums telescope exactly; evaluate and collect_blocks both consume that plan. A
 pair's plan depends on (i, d) alone, so each pair is planned once per process and
 shared by every family, mode and budget. The per-triple stream is still exposed
@@ -258,22 +258,14 @@ class BlockCache:
         return len(self._records) + len(self._lines)
 
 
-def plan_segments(params: TruncationParams) -> Iterator[tuple[int, int, tuple[tuple[int, int, CanonicalKey], ...]]]:
-    """Yield (i, d, ((start, end, key), ...)) for every retained pair, in order.
+@lru_cache(maxsize=None)
+def _pair_segments(i: int, d: int) -> tuple[tuple[int, int, CanonicalKey], ...]:
+    """The segments of one retained (i, d) pair, in order, as (start, end, key).
 
     Each (start, end, key) covers the maximal t-subrange [start, end] of
     [i*d, (i+1)*d - 1] on which the rooted component of d in [d, t] is constant,
-    with key its canonical form. A pair's plan depends on (i, d) alone, so each
+    with key its canonical form. A pair's segments depend on (i, d) alone, so each
     pair is planned once per process and shared by every family, mode and budget.
-    """
-    for i, d in retained_pairs(params):
-        yield i, d, _pair_segments(i, d)
-
-
-@lru_cache(maxsize=None)
-def _pair_segments(i: int, d: int) -> tuple[tuple[int, int, CanonicalKey], ...]:
-    """The segments of one (i, d) pair, as plan_segments yields them.
-
     The component C(d, t) is monotone in t and any change at t puts t itself
     inside the new component, so changes can only happen when t reaches an
     element of the widest component C(d, t_hi); the last segment therefore has
@@ -299,7 +291,7 @@ def evaluate(
 
     The partial sum S is a lower bound for the full series value; the upper bound
     adds M times the unretained coefficient mass plus a float summation allowance.
-    Segments come from plan_segments; each pair's contribution is summed over its
+    Segments come from _pair_segments; each pair's contribution is summed over its
     segments, and the sums over pairs of contributions and of weights are
     correctly rounded (math.fsum), so they do not depend on the order of pairs.
     The node limit is resolved before the first lookup, so a malformed
@@ -314,7 +306,8 @@ def evaluate(
     magnitude = 0.0
     segments = 0
     terms = 0
-    for i, d, segs in plan_segments(params):
+    for i, d in retained_pairs(params):
+        segs = _pair_segments(i, d)
         acc = 0.0
         for start, end, key in segs:
             rec = cache.lookup_or_solve(key, fam, mode, node_limit=node_limit)
@@ -370,8 +363,8 @@ def collect_blocks(
         cache = BlockCache(None)
     weights: dict[CanonicalKey, float] = {}
     increments: dict[CanonicalKey, int | float] = {}
-    for i, d, segs in plan_segments(params):
-        for start, end, key in segs:
+    for i, d in retained_pairs(params):
+        for start, end, key in _pair_segments(i, d):
             rec = cache.lookup_or_solve(key, fam, mode, node_limit=node_limit)
             mass = euler_factor(i) * ((end + 1 - start) / (start * (end + 1)))
             weights[key] = weights.get(key, 0.0) + mass

@@ -135,7 +135,7 @@ _MEMO: dict[str, dict] = {}
 def clear_caches() -> None:
     """Drop the search memo (cache files are untouched).
 
-    The segment plans of series.plan_segments are kept for the process: a plan
+    The segment plans of series._pair_segments are kept for the process: a plan
     depends only on its (i, d) pair, and all of them take about 0.8 MB at
     budget 1e10 and 5.3 MB at 1e11."""
     _MEMO.clear()

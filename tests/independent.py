@@ -1,5 +1,6 @@
 """Admissibility predicates that share no code with divbound.patterns.Checker, the
-one matcher that is_admissible, the oracle and the solver's search run on."""
+one matcher that is_admissible, the oracle and the solver's search run on, and a
+closure diameter that shares none with divbound.patterns.Pattern."""
 
 import itertools
 
@@ -53,3 +54,29 @@ def admissible(S, family):
     if family.forbid_cycles and not acyclic_by_edge_count(S):
         return False
     return not any(brute_contains(S, p) for p in family.patterns)
+
+
+def closure_diameter(vertex_count, edges):
+    """Largest distance, edge directions ignored, in the comparability closure of a
+    pattern: its edges plus u-w for every directed path from u to w. Warshall's
+    transitive closure of the directed edges, then Floyd-Warshall distances."""
+    n = vertex_count
+    reach = [[False] * n for _ in range(n)]
+    for u, w, directed in edges:
+        reach[u][w] = directed
+    for k in range(n):
+        for u in range(n):
+            for w in range(n):
+                reach[u][w] = reach[u][w] or (reach[u][k] and reach[k][w])
+    dist = [[0 if u == w else n for w in range(n)] for u in range(n)]
+    for u, w, _ in edges:
+        dist[u][w] = dist[w][u] = 1
+    for u in range(n):
+        for w in range(n):
+            if reach[u][w]:
+                dist[u][w] = dist[w][u] = 1
+    for k in range(n):
+        for u in range(n):
+            for w in range(n):
+                dist[u][w] = min(dist[u][w], dist[u][k] + dist[k][w])
+    return max(max(row) for row in dist)

@@ -206,6 +206,17 @@ def test_bound_misspelled_pattern_file_key_exits_2(capsys, tmp_path):
     assert "'pattern'" in err
 
 
+def test_bound_cyclic_pattern_file_exits_2(capsys, tmp_path):
+    # a directed cycle forbids nothing: no divisor graph contains one
+    path = tmp_path / "fam.json"
+    edges = [{"from": a, "to": (a + 1) % 3, "directed": True} for a in range(3)]
+    path.write_text(json.dumps({"patterns": [{"vertices": 3, "edges": edges}]}))
+    code, out, err = run_main(capsys, "bound", "--family", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert "pattern 0" in err and "directed cycle" in err
+
+
 def test_bound_resource_error_exit_3_names_key(capsys, monkeypatch):
     monkeypatch.setenv("DIVBOUND_NODE_LIMIT", "2")
     code, _, err = run_main(

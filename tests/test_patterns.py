@@ -5,6 +5,7 @@ import random
 import pytest
 
 from divbound.patterns import (
+    REL_EITHER,
     AdmissibleFamily,
     Pattern,
     PatternError,
@@ -21,7 +22,7 @@ from divbound.patterns import (
 )
 from divbound.solver import size_polynomial
 
-from independent import acyclic_by_edge_count, brute_contains
+from independent import acyclic_by_edge_count, brute_contains, closure_diameter
 
 
 def test_builtin_shapes():
@@ -48,8 +49,15 @@ def test_builder_parameter_validation():
 def test_pattern_rejects_malformed():
     with pytest.raises(PatternError):
         Pattern(2, ((0, 0, True),))  # self-loop
-    with pytest.raises(PatternError):
-        Pattern(3, ((0, 1, True),))  # vertex 2 disconnected
+    # disconnected: a forbidden copy could straddle divisor-graph components
+    for vertices, edges in [
+        (3, ((0, 1, True),)),  # vertex 2 isolated
+        (3, ((1, 2, True),)),  # vertex 0 isolated
+        (4, ((0, 1, True), (2, 3, False))),  # two 2-vertex parts
+        (8, tuple((i, i + 1, True) for i in range(7) if i != 3)),  # a path missing one edge
+    ]:
+        with pytest.raises(PatternError, match="connected"):
+            Pattern(vertices, edges)
     with pytest.raises(PatternError):
         Pattern(2, ((0, 1, True), (0, 1, True)))  # duplicate edge
     with pytest.raises(PatternError):
@@ -68,6 +76,29 @@ def test_pattern_rejects_malformed():
     ]:
         with pytest.raises(PatternError):
             Pattern(vertices, edges)
+
+
+@pytest.mark.parametrize(
+    "pattern_args",
+    [
+        (3, ((0, 1, True), (1, 2, True), (2, 0, True))),
+        (4, ((0, 1, True), (1, 2, True), (2, 3, True), (3, 0, True))),
+        (4, ((0, 1, True), (1, 2, True), (2, 0, True), (2, 3, False))),
+    ],
+    ids=["3-cycle", "4-cycle", "3-cycle-with-tail"],
+)
+def test_pattern_rejects_directed_cycle(pattern_args):
+    # proper divisibility is a strict order: no divisor graph has a directed cycle,
+    # so such a pattern would forbid nothing and every set would be admissible
+    with pytest.raises(PatternError, match="directed cycle"):
+        Pattern(*pattern_args)
+
+
+def test_mixed_cycle_is_accepted_and_matches():
+    # a cycle with an undirected edge is no directed cycle: 1 | 2 | 4 with 1 ~ 4
+    p = Pattern(3, ((0, 1, True), (1, 2, True), (2, 0, False)))
+    assert contains_pattern({1, 2, 4}, p) and brute_contains({1, 2, 4}, p)
+    assert not contains_pattern({2, 3, 6}, p)
 
 
 def test_contains_pattern_examples():
@@ -188,6 +219,77 @@ def test_fork_leaves_share_one_placement_plan():
     assert len(_distinct_plans(chain(3))) == 3
 
 
+def test_placement_plans_are_pinned():
+    # the exact plans the matcher runs, slot and relation per constraint (0: multiple,
+    # 1: divisor, 2: either), as first printed before the plans read one neighbour
+    # table; a changed order or ranking would show here
+    T, F = True, False
+    pinned = {
+        two_fork(): ((((0, 0),), ((0, 0),)), (((0, 1),), ((1, 0),))),
+        r_fork(3): ((((0, 0),), ((0, 0),), ((0, 0),)), (((0, 1),), ((1, 0),), ((1, 0),))),
+        in_fork(2): ((((0, 1),), ((0, 1),)), (((0, 0),), ((1, 1),))),
+        chain(3): ((((0, 0),), ((1, 0),)), (((0, 1),), ((0, 0),)), (((0, 1),), ((1, 1),))),
+        # the fence 0 -> 1 <- 2 -> 3 <- 4
+        Pattern(5, ((0, 1, T), (2, 1, T), (2, 3, T), (4, 3, T))): (
+            (((0, 0),), ((1, 1),), ((2, 0),), ((3, 1),)),
+            (((0, 1),), ((1, 0),), ((0, 1),), ((2, 1),)),
+            (((0, 0),), ((0, 0),), ((1, 1),), ((2, 1),)),
+            (((0, 1),), ((1, 0),), ((2, 1),), ((0, 1),)),
+        ),
+        # the zigzag 0 -> 1 <- 2 - 3
+        Pattern(4, ((0, 1, T), (2, 1, T), (2, 3, F))): (
+            (((0, 0),), ((1, 1),), ((2, 2),)),
+            (((0, 1),), ((0, 1),), ((1, 2),)),
+            (((0, 0),), ((1, 1),), ((0, 2),)),
+            (((0, 2),), ((1, 0),), ((2, 1),)),
+        ),
+        # 0 -> 1 -> 2 with 0 - 2: steps with two constraints, in edge order
+        Pattern(3, ((0, 1, T), (1, 2, T), (2, 0, F))): (
+            (((0, 0),), ((0, 2), (1, 0))),
+            (((0, 1),), ((1, 2), (0, 0))),
+            (((0, 2),), ((1, 0), (0, 1))),
+        ),
+    }
+    for pattern, plans in pinned.items():
+        assert _distinct_plans(pattern) == plans, pattern
+
+
+def _random_connected_acyclic_pattern(rng):
+    # a spanning tree plus a few extra edges; directed edges follow a random vertex
+    # order, so no directed cycle can form
+    v = rng.randint(2, 8)
+    order = rng.sample(range(v), v)
+    rank = {u: k for k, u in enumerate(order)}
+    pairs = {tuple(sorted((order[k], order[rng.randrange(k)]))) for k in range(1, v)}
+    for _ in range(rng.randint(0, v)):
+        pairs.add(tuple(sorted(rng.sample(range(v), 2))))
+    edges = []
+    for a, b in sorted(pairs):
+        if rng.random() < 0.6:
+            edges.append((a, b, True) if rank[a] < rank[b] else (b, a, True))
+        else:
+            edges.append((a, b, False))
+    return Pattern(v, tuple(edges))
+
+
+def test_random_patterns_have_closure_diameter_and_complete_plans():
+    rng = random.Random(2020)
+    for _ in range(300):
+        p = _random_connected_acyclic_pattern(rng)
+        assert p.diameter == closure_diameter(p.vertex_count, p.edges), p
+        plans = _distinct_plans(p)
+        assert 1 <= len(plans) <= p.vertex_count
+        for plan in plans:
+            # the anchor, then each other vertex once, each step tied to a placed slot
+            assert len(plan) == p.vertex_count - 1, (p, plan)
+            for k, step in enumerate(plan):
+                assert step and all(0 <= slot <= k for slot, _ in step), (p, plan)
+            # every edge becomes one constraint, when its later endpoint is placed
+            rels = sorted(rel for step in plan for _, rel in step)
+            assert len(rels) == len(p.edges), (p, plan)
+            assert rels.count(REL_EITHER) == sum(not directed for _, _, directed in p.edges), (p, plan)
+
+
 def test_two_fork_semantic_restatement():
     rng = random.Random(12)
     fam = builtin_family("two-fork")
@@ -294,6 +396,13 @@ def test_family_from_json_errors_name_pattern_index():
     ]}
     with pytest.raises(PatternError, match="pattern 0"):
         family_from_json(bad)
+    cyclic = {"vertices": 3, "edges": [
+        {"from": 0, "to": 1, "directed": True},
+        {"from": 1, "to": 2, "directed": True},
+        {"from": 2, "to": 0, "directed": True},
+    ]}
+    with pytest.raises(PatternError, match="pattern 1: pattern has a directed cycle"):
+        family_from_json({"patterns": [_one_edge_doc()["patterns"][0], cyclic]})
     with pytest.raises(PatternError):
         family_from_json({"patterns": "nope"})
     with pytest.raises(PatternError):
