@@ -19,7 +19,7 @@ import tempfile
 import time
 from fractions import Fraction
 
-from .numtheory import RootedComponent, divisor_connected_component, rooted_component
+from .numtheory import RootedComponent, canonical_key, divisor_connected_component, rooted_component
 from .oracle import EXHAUSTIVE_CAP, exact_reference_series, telescope_check
 from .patterns import AdmissibleFamily, PatternError, builtin_family, family_from_file, is_admissible
 from .series import (
@@ -31,7 +31,16 @@ from .series import (
     retained_pairs,
     term_weight_exact,
 )
-from .solver import COUNTING, DENSITY, Mode, ResourceLimitError, local_increment, partition_mode, solve_block
+from .solver import (
+    COUNTING,
+    DENSITY,
+    Mode,
+    ResourceLimitError,
+    clear_caches,
+    local_increment,
+    partition_mode,
+    solve_block,
+)
 
 CACHE_DIR_ENV = "DIVBOUND_CACHE_DIR"
 
@@ -181,11 +190,17 @@ def _suite_dilation(cases: int) -> int:
         scaled = divisor_connected_component([m * v for v in range(d, t + 1)], m * d)
         if tuple(m * v for v in comp.elements) != scaled:
             raise _VerifyFailure(f"scaled component mismatch for d={d}, t={t}, m={m}")
+        scaled_comp = RootedComponent(elements=scaled, root_index=scaled.index(m * d))
+        if canonical_key(comp) != canonical_key(scaled_comp):
+            raise _VerifyFailure(f"canonical key changes under dilation: d={d}, t={t}, m={m}")
         fam = fams[rng.randrange(len(fams))]
         for mode in (DENSITY, COUNTING):
+            # one canonical key: without the clears the second solve would be
+            # answered by the first one's memo and stored pair
+            clear_caches()
             rec = solve_block(comp, fam, mode)
-            idx = scaled.index(m * d)
-            rec_scaled = solve_block(RootedComponent(elements=scaled, root_index=idx), fam, mode)
+            clear_caches()
+            rec_scaled = solve_block(scaled_comp, fam, mode)
             if local_increment(rec, mode) != local_increment(rec_scaled, mode):
                 raise _VerifyFailure(f"increment changes under dilation: d={d}, t={t}, m={m}, mode={mode.tag}")
         sample = [v for v in range(1, 31) if rng.random() < 0.3]

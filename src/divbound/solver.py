@@ -2,8 +2,8 @@
 and per-component increment records. Mode.value is the one reading of P: the
 maximum size is its degree, the count its value at 1 and the partition function
 its value at the pressure z. The search memo packs each polynomial into one
-integer, and only the search reads that format; everything it returns is a tuple
-of coefficients.
+integer, and so does each solved block's stored pair; only this module reads that
+format, and everything it returns is a tuple of coefficients.
 
 All values are exact integers, or rationals when the pressure is rational; floats
 appear only for a float pressure and when taking logarithms of exact ratios.
@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, zip_longest
+from itertools import compress, repeat, zip_longest
 from operator import or_
 from typing import Iterable
 
@@ -78,8 +78,16 @@ class Mode:
             return len(P) - 1
         if self.kind == "counting":
             return sum(P)
-        # Horner's rule on the exact integer coefficients: exact for a Fraction z
         z = self.pressure
+        if isinstance(z, Fraction):
+            # Horner's rule in integers: P(p/q) = N / q**m, N = sum of a_k p**k q**(m-k)
+            p, q = z.numerator, z.denominator
+            acc = 0
+            qk = 1
+            for a in reversed(P):
+                acc = acc * p + a * qk
+                qk *= q
+            return Fraction(acc, qk // q)
         acc = 0
         for a in reversed(P):
             acc = acc * z + a
@@ -130,15 +138,20 @@ def resolve_node_limit(node_limit: int | None) -> int:
 
 
 _MEMO: dict[str, dict] = {}
+# per family: CanonicalKey -> the packed size polynomials of the block's full set
+# and of the set without its root, each as _Search.value returns it
+_PAIRS: dict[str, dict[CanonicalKey, tuple[int, int]]] = {}
 
 
 def clear_caches() -> None:
-    """Drop the search memo (cache files are untouched).
+    """Drop the search memo and the blocks' polynomial pairs (cache files are
+    untouched).
 
     The segment plans of series._pair_segments are kept for the process: a plan
     depends only on its (i, d) pair, and all of them take about 0.8 MB at
     budget 1e10 and 5.3 MB at 1e11."""
     _MEMO.clear()
+    _PAIRS.clear()
 
 
 def _width(r: int) -> int:
@@ -152,6 +165,11 @@ def _slots(P: int, w: int) -> list[bytes]:
     size = w // 8
     raw = P.to_bytes(-(-P.bit_length() // w) * size, "little")
     return [raw[i : i + size] for i in range(0, len(raw), size)]
+
+
+def _unpack(P: int, w: int) -> tuple[int, ...]:
+    """The coefficients (a_0, ..., a_m) of a polynomial packed in w-bit slots."""
+    return tuple(map(int.from_bytes, _slots(P, w), repeat("little")))
 
 
 def _repack(P: int, w: int, wider: int) -> int:
@@ -187,7 +205,7 @@ class _Search(Checker):
     most C(r, k) < 2**w, and so is every coefficient of a sum or product of the
     polynomials of disjoint parts of the state, so integer addition and
     multiplication give the packed sum and product with no carry between slots.
-    The format stays inside this class: polynomial() unpacks a value to its tuple.
+    The format stays inside this module: _unpack turns a value into its tuple.
 
     A state is a pair of bitmasks over the sorted elements. The search is the
     patterns.Checker of its elements: adj[j] masks the elements comparable with
@@ -231,10 +249,6 @@ class _Search(Checker):
             if not (frontier and far):
                 break
         return chosen ^ far
-
-    def polynomial(self, rest: int) -> tuple[int, ...]:
-        """The coefficients (a_0, ..., a_m) of the size polynomial of the elements in rest."""
-        return tuple(int.from_bytes(s, "little") for s in _slots(self.value(rest, 0), _width(rest.bit_count())))
 
     def value(self, rest: int, chosen: int) -> int:
         """Product over the divisor-graph components of rest+chosen, where chosen is
@@ -354,7 +368,8 @@ def size_polynomial(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int 
     """
     elements = validated_elements(S)
     label = f"{fam.name} on {len(elements)} elements"
-    return _Search(fam, elements, resolve_node_limit(node_limit), label).polynomial((1 << len(elements)) - 1)
+    search = _Search(fam, elements, resolve_node_limit(node_limit), label)
+    return _unpack(search.value((1 << len(elements)) - 1, 0), _width(len(elements)))
 
 
 def solve_block(
@@ -366,28 +381,39 @@ def solve_block(
 ) -> BlockRecord:
     """Solve one rooted component in canonical form, returning the mode's value pair.
 
-    The component is normalized first, so scaled copies produce identical records, and
-    a later solve in another mode is answered from the memo. One search, under one node
-    budget, values both the full set and the set without the root; the second is
-    usually answered from the states the first memoized. Resource errors are re-raised
-    with the canonical key attached.
+    The component is normalized first, so scaled copies produce identical records.
+    One search, under one node budget, values both the full set and the set without
+    the root; the second is usually answered from the states the first memoized.
+    The two size polynomials are kept for the process and family, so a later solve
+    of the same canonical block, in any mode, reads its values off them with no
+    search and no nodes; clear_caches drops them. Resource errors are re-raised
+    with the canonical key attached, and a failed search keeps nothing.
     """
+    node_limit = resolve_node_limit(node_limit)
     key = canonical_key(c)
     full = key.normalized_elements
-    search = _Search(fam, full, resolve_node_limit(node_limit), f"{fam.name} on {len(full)} elements")
-    everything = (1 << len(full)) - 1
-    try:
-        pf = search.polynomial(everything)
-        pd = search.polynomial(everything ^ (1 << c.root_index))
-    except ResourceLimitError as exc:
-        raise ResourceLimitError(
-            f"{exc} [component {','.join(map(str, full))} root {key.root_value}]", key=key
-        ) from None
-    # Admissible k-subsets holding the root lose it to admissible (k-1)-subsets, so
-    # 0 <= full_k - deleted_k <= deleted_(k-1); this bounds every mode's increment.
-    shifted = zip_longest(pf, pd, (0,) + pd, fillvalue=0)
-    if not (pf[0] == pd[0] == 1 and all(0 <= f - d <= e for f, d, e in shifted)):
-        raise RuntimeError(f"size polynomials {pf}/{pd} out of range for key {key}")
+    n = len(full)
+    pairs = _PAIRS.setdefault(fam.family_hash, {})
+    packed = pairs.get(key)
+    if packed is None:
+        search = _Search(fam, full, node_limit, f"{fam.name} on {n} elements")
+        everything = (1 << n) - 1
+        try:
+            packed = search.value(everything, 0), search.value(everything ^ (1 << c.root_index), 0)
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(
+                f"{exc} [component {','.join(map(str, full))} root {key.root_value}]", key=key
+            ) from None
+    pf = _unpack(packed[0], _width(n))
+    pd = _unpack(packed[1], _width(n - 1))
+    if key not in pairs:
+        # Admissible k-subsets holding the root lose it to admissible (k-1)-subsets,
+        # so 0 <= full_k - deleted_k <= deleted_(k-1); this bounds every mode's
+        # increment. Checked once, when the pair is computed.
+        shifted = zip_longest(pf, pd, (0,) + pd, fillvalue=0)
+        if not (pf[0] == pd[0] == 1 and all(0 <= f - d <= e for f, d, e in shifted)):
+            raise RuntimeError(f"size polynomials {pf}/{pd} out of range for key {key}")
+        pairs[key] = packed
     full, deleted = mode.value(pf), mode.value(pd)
     if mode.kind == "density":
         return BlockRecord(key=key, size_full=full, size_deleted=deleted)
@@ -407,6 +433,11 @@ def local_increment(rec: BlockRecord, mode: Mode) -> int | float:
             raise ValueError("record lacks counting fields")
         # int / int rounds the exact ratio correctly: the float a Fraction would give
         return math.log(rec.count_full / rec.count_deleted)
-    if rec.partition_full is None or rec.partition_deleted is None:
+    a, b = rec.partition_full, rec.partition_deleted
+    if a is None or b is None:
         raise ValueError("record lacks partition fields")
-    return math.log(rec.partition_full / rec.partition_deleted)
+    if isinstance(a, float):
+        return math.log(a / b)
+    # one correctly rounded integer division of the exact ratio, as Fraction a / b
+    # would round it, without building that Fraction
+    return math.log((a.numerator * b.denominator) / (a.denominator * b.numerator))

@@ -288,6 +288,21 @@ def test_counting_increment_needs_no_fraction():
         assert local_increment(rec, COUNTING) == math.log(ratio), rec.key
 
 
+def test_partition_increment_needs_no_fraction():
+    # the cross-multiplied integer ratio and the reduced Fraction are one rational,
+    # and both reach math.log through one correctly rounded division
+    chain3 = builtin_family("chain:3")
+    for z in (Fraction(2), Fraction(3, 2)):
+        mode = partition_mode(z)
+        cache = BlockCache(None)
+        evaluate(chain3, mode, TruncationParams(10.0, 1e8), cache)
+        records = list(cache._records.values())
+        assert len(records) > 20
+        for rec in records:
+            ratio = Fraction(rec.partition_full) / Fraction(rec.partition_deleted)
+            assert local_increment(rec, mode) == math.log(ratio), rec.key
+
+
 def test_cache_hit_avoids_resolve():
     cache = BlockCache(None)
     key = canonical_key(rooted_component(2, 5))

@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from divbound import solver
-from divbound.numtheory import RootedComponent, divisor_connected_component, primes_up_to, rooted_component
+from divbound.numtheory import (
+    RootedComponent,
+    canonical_key,
+    divisor_connected_component,
+    primes_up_to,
+    rooted_component,
+)
 from divbound.patterns import builtin_family, family_from_json, is_admissible
 from divbound.solver import (
     COUNTING,
@@ -186,11 +192,17 @@ def test_dilation_invariance_of_increments():
             [m * v for v in range(d, t + 1)], m * d
         )
         scaled = RootedComponent(scaled_elems, scaled_elems.index(m * d))
+        # both copies have one canonical key, so a solve of one would answer the
+        # other from the memo and the stored pair: each is solved on a cleared one
+        assert canonical_key(base) == canonical_key(scaled)
         fam = rng.choice((TWO_FORK, CHAIN2, FOREST))
         for mode in (DENSITY, COUNTING):
+            clear_caches()
             a = local_increment(solve_block(base, fam, mode), mode)
+            clear_caches()
             b = local_increment(solve_block(scaled, fam, mode), mode)
             assert a == b
+    clear_caches()
 
 
 def test_node_limit_raises_resource_error():
@@ -218,9 +230,8 @@ def test_solve_block_resource_error_names_key():
     clear_caches()
 
 
-def test_solve_block_builds_one_search(monkeypatch):
-    # the root-deleted set is valued by the full set's search, under its node budget
-    clear_caches()
+def _count_searches(monkeypatch) -> list:
+    """Replace solver._Search by a subclass that records the arguments of each build."""
     built = []
 
     class Counted(solver._Search):
@@ -231,6 +242,13 @@ def test_solve_block_builds_one_search(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(solver, "_Search", Counted)
+    return built
+
+
+def test_solve_block_builds_one_search(monkeypatch):
+    # the root-deleted set is valued by the full set's search, under its node budget
+    clear_caches()
+    built = _count_searches(monkeypatch)
     comp = rooted_component(2, 40)
     rec = solve_block(comp, TWO_FORK, COUNTING)
     assert len(built) == 1
@@ -244,6 +262,7 @@ def test_solve_block_builds_one_search(monkeypatch):
 
 def test_one_search_serves_every_mode(monkeypatch):
     clear_caches()
+    built = _count_searches(monkeypatch)
     calls = []
     real = solver.is_admissible_with
 
@@ -259,12 +278,59 @@ def test_one_search_serves_every_mode(monkeypatch):
     counting_rec = solve_block(comp, TWO_FORK, COUNTING)
     partition = solve_block(comp, TWO_FORK, partition_mode(2))
     assert len(calls) == searched
+    assert len(built) == 1
     assert (density.size_full, counting_rec.count_full) == (
         DENSITY.value(size_polynomial(comp.elements, TWO_FORK)),
         COUNTING.value(size_polynomial(comp.elements, TWO_FORK)),
     )
     assert partition.partition_full == partition_mode(2).value(size_polynomial(comp.elements, TWO_FORK))
+    # the block's pair is dropped with the memo, so solving it again repeats the search
     clear_caches()
+    del built[:], calls[:]
+    assert solve_block(comp, TWO_FORK, COUNTING) == counting_rec
+    assert len(built) == 1
+    assert len(calls) == searched
+    clear_caches()
+
+
+def test_failed_search_stores_nothing():
+    clear_caches()
+    comp = rooted_component(1, 16)
+    with pytest.raises(ResourceLimitError):
+        solve_block(comp, TWO_FORK, COUNTING, node_limit=2)
+    rec = solve_block(comp, TWO_FORK, COUNTING)
+    deleted = [v for v in comp.elements if v != comp.root]
+    assert (rec.count_full, rec.count_deleted) == (
+        COUNTING.value(size_polynomial(comp.elements, TWO_FORK)),
+        COUNTING.value(size_polynomial(deleted, TWO_FORK)),
+    )
+    clear_caches()
+
+
+def _horner_loop(P, z):
+    """Horner's rule in the arithmetic of z: Fraction operations for a Fraction z."""
+    acc = 0
+    for a in reversed(P):
+        acc = acc * z + a
+    return acc
+
+
+def test_partition_value_is_integer_horner():
+    rng = random.Random(0xC0FFEE)
+    fixed = [Fraction(2), Fraction(3, 2), Fraction(1, 3), Fraction(10**9, 7)]
+    for i in range(2400):
+        z = fixed[i % 4] if i < 400 else Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        top = rng.choice((1, 10**6, 10**30))
+        P = (1, *(rng.randint(0, top) for _ in range(rng.randint(0, 40))))
+        got = partition_mode(z).value(P)
+        assert type(got) is Fraction
+        assert got == _horner_loop(P, z), (P, z)
+    # a float pressure keeps the float loop, bit for bit
+    for _ in range(500):
+        z = rng.choice((0.7, 2.0, 1e-3, rng.uniform(0.01, 50.0)))
+        P = (1, *(rng.randint(0, 10**30) for _ in range(rng.randint(0, 30))))
+        got = partition_mode(z).value(P)
+        assert type(got) is float and got == _horner_loop(P, z)
 
 
 @pytest.mark.parametrize(
