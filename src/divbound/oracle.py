@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .numtheory import rooted_component
+from .numtheory import canonical_key, rooted_component
 from .patterns import AdmissibleFamily, Checker
 from .series import TruncationParams, enumerate_triples, term_weight_exact
 from .solver import COUNTING, DENSITY, Mode, ResourceLimitError, local_increment, solve_block
@@ -75,9 +75,10 @@ def brute_max_size(n: int, fam: AdmissibleFamily) -> int:
 def telescope_check(n: int, fam: AdmissibleFamily) -> dict:
     """Compare summed local increments against exhaustively enumerated totals.
 
-    The increments g(a, n) and h(a, n) come from solve_block on the component of a
-    in the divisor graph on [a, n]; their sums must reproduce the brute-force
-    maximum size exactly and the log of the brute-force count to within 1e-9.
+    The increments g(a, n) and h(a, n) come from solve_block on the canonical key
+    of the component of a in the divisor graph on [a, n], one key per a for both
+    modes; their sums must reproduce the brute-force maximum size exactly and the
+    log of the brute-force count to within 1e-9.
     """
     if not 1 <= n <= EXHAUSTIVE_CAP:
         raise ValueError(f"telescoping check needs 1 <= n <= {EXHAUSTIVE_CAP}, got {n!r}")
@@ -89,9 +90,9 @@ def telescope_check(n: int, fam: AdmissibleFamily) -> dict:
     h_seq: list[float] = []
     failure: dict | None = None
     for a in range(1, n + 1):
-        comp = rooted_component(a, n)
-        g = local_increment(solve_block(comp, fam, DENSITY), DENSITY)
-        h = local_increment(solve_block(comp, fam, COUNTING), COUNTING)
+        key = canonical_key(rooted_component(a, n))
+        g = local_increment(solve_block(key, fam, DENSITY), DENSITY)
+        h = local_increment(solve_block(key, fam, COUNTING), COUNTING)
         if failure is None and g not in (0, 1):
             failure = {"kind": "g-range", "a": a, "value": g}
         if failure is None and not -1e-12 <= h <= math.log(2) + 1e-12:
@@ -138,5 +139,5 @@ def exact_reference_series(
         w = term_weight_exact(i, d, t)
         W += w
         # Fraction * float is float(w) * increment, and a float sum stays a float
-        S += w * local_increment(solve_block(rooted_component(d, t), fam, mode), mode)
+        S += w * local_increment(solve_block(canonical_key(rooted_component(d, t)), fam, mode), mode)
     return S, W

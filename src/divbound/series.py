@@ -20,14 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .numtheory import (
-    CanonicalKey,
-    RootedComponent,
-    canonical_key,
-    primes_up_to,
-    rooted_component,
-    smooth_numbers,
-)
+from .numtheory import CanonicalKey, canonical_key, primes_up_to, rooted_component, smooth_numbers
 from .solver import BlockRecord, Mode, local_increment, resolve_node_limit, solve_block
 
 
@@ -234,11 +227,7 @@ class BlockCache:
         node_limit: int | None = None,
     ) -> BlockRecord:
         """The record of key, from memory, from a loaded line, or solved and appended.
-
-        The key's elements are taken as a component without re-checking that they
-        are divisor-connected: every key that evaluate and collect_blocks meet is
-        the canonical_key of a rooted_component, connected by construction, and the
-        size polynomial is exact for any element set."""
+        A miss passes the key to solve_block as it is."""
         map_key = (fam.family_hash, mode.tag, key)
         rec = self._records.get(map_key)
         if rec is None and self._lines:
@@ -246,9 +235,7 @@ class BlockCache:
         if rec is not None:
             self.hits += 1
             return rec
-        elements = key.normalized_elements
-        component = RootedComponent._connected(elements, elements.index(key.root_value))
-        rec = self._records[map_key] = solve_block(component, fam, mode, node_limit=node_limit)
+        rec = self._records[map_key] = solve_block(key, fam, mode, node_limit=node_limit)
         self.misses += 1
         self._append(fam.family_hash, mode.tag, rec)
         return rec

@@ -5,8 +5,9 @@ its value at the pressure z. The search memo packs each polynomial into one
 integer, and so does each solved block's stored pair; only this module reads that
 format, and everything it returns is a tuple of coefficients.
 
-All values are exact integers, or rationals when the pressure is rational; floats
-appear only for a float pressure and when taking logarithms of exact ratios.
+All values are exact integers or rationals: a pressure is held as the Fraction
+equal to the number given, a float included. Floats appear only when taking
+logarithms of exact ratios.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import compress, repeat, zip_longest
 from operator import or_
 from typing import Iterable
 
-from .numtheory import CanonicalKey, RootedComponent, canonical_key
+from .numtheory import CanonicalKey
 from .patterns import AdmissibleFamily, Checker, validated_elements
 
 DEFAULT_NODE_LIMIT = 10**6
@@ -45,15 +46,20 @@ class Mode:
     """What a block solve must produce: sizes, counts, or pressure-weighted sums."""
 
     kind: str
-    pressure: Fraction | float | None = None
+    pressure: Fraction | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("density", "counting", "partition"):
             raise ValueError(f"unknown mode kind {self.kind!r}")
         if self.kind == "partition":
-            # increment_bound takes log1p(float(pressure)), so it must fit in a float
-            if self.pressure is None or not 0 < self.pressure <= sys.float_info.max:
-                raise ValueError(f"partition mode needs a positive pressure that fits in a float, got {self.pressure}")
+            z = self.pressure
+            # increment_bound takes log1p(float(pressure)), so it must fit in a float.
+            # Checked before Fraction(z), which raises OverflowError on an infinity;
+            # True is not the pressure 1
+            if z is None or isinstance(z, bool) or not 0 < z <= sys.float_info.max:
+                raise ValueError(f"partition mode needs a positive pressure that fits in a float, got {z}")
+            # exact for an int or a float too, so every value is a Fraction
+            object.__setattr__(self, "pressure", Fraction(z))
         elif self.pressure is not None:
             raise ValueError(f"{self.kind} mode takes no pressure")
 
@@ -72,26 +78,20 @@ class Mode:
             return math.log(2.0)
         return math.log1p(float(self.pressure))
 
-    def value(self, P: tuple[int, ...]) -> int | Fraction | float:
+    def value(self, P: tuple[int, ...]) -> int | Fraction:
         """This mode's value of a set with size polynomial P: its degree, P(1) or P(z)."""
         if self.kind == "density":
             return len(P) - 1
         if self.kind == "counting":
             return sum(P)
-        z = self.pressure
-        if isinstance(z, Fraction):
-            # Horner's rule in integers: P(p/q) = N / q**m, N = sum of a_k p**k q**(m-k)
-            p, q = z.numerator, z.denominator
-            acc = 0
-            qk = 1
-            for a in reversed(P):
-                acc = acc * p + a * qk
-                qk *= q
-            return Fraction(acc, qk // q)
+        # Horner's rule in integers: P(p/q) = N / q**m, N = sum of a_k p**k q**(m-k)
+        p, q = self.pressure.numerator, self.pressure.denominator
         acc = 0
+        qk = 1
         for a in reversed(P):
-            acc = acc * z + a
-        return acc
+            acc = acc * p + a * qk
+            qk *= q
+        return Fraction(acc, qk // q)
 
 
 DENSITY = Mode("density")
@@ -99,8 +99,6 @@ COUNTING = Mode("counting")
 
 
 def partition_mode(z: Fraction | float | int) -> Mode:
-    if isinstance(z, int):
-        z = Fraction(z)
     return Mode("partition", z)
 
 
@@ -108,8 +106,8 @@ def partition_mode(z: Fraction | float | int) -> Mode:
 class BlockRecord:
     """Exactly computed values for one canonical rooted component.
 
-    Only the field pair for the requested mode is filled; counts are plain integers,
-    partition values are Fractions when the pressure is rational and floats otherwise.
+    Only the field pair for the requested mode is filled; sizes and counts are plain
+    integers, partition values Fractions.
     """
 
     key: CanonicalKey
@@ -117,8 +115,8 @@ class BlockRecord:
     size_deleted: int | None = None
     count_full: int | None = None
     count_deleted: int | None = None
-    partition_full: Fraction | float | None = None
-    partition_deleted: Fraction | float | None = None
+    partition_full: Fraction | None = None
+    partition_deleted: Fraction | None = None
 
 
 def resolve_node_limit(node_limit: int | None) -> int:
@@ -373,33 +371,39 @@ def size_polynomial(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int 
 
 
 def solve_block(
-    c: RootedComponent,
+    key: CanonicalKey,
     fam: AdmissibleFamily,
     mode: Mode,
     *,
     node_limit: int | None = None,
 ) -> BlockRecord:
-    """Solve one rooted component in canonical form, returning the mode's value pair.
+    """Solve one block given by its canonical key, returning the mode's value pair.
 
-    The component is normalized first, so scaled copies produce identical records.
-    One search, under one node budget, values both the full set and the set without
-    the root; the second is usually answered from the states the first memoized.
-    The two size polynomials are kept for the process and family, so a later solve
-    of the same canonical block, in any mode, reads its values off them with no
-    search and no nodes; clear_caches drops them. Resource errors are re-raised
-    with the canonical key attached, and a failed search keeps nothing.
+    The key's normalized elements are searched with the root at its root value, so
+    every scaled copy of a component, keyed by numtheory.canonical_key, gets one
+    record. One search, under one node budget, values both the full set and the set
+    without the root; the second is usually answered from the states the first
+    memoized. The two size polynomials are kept for the process and family, so a
+    later solve of the same key, in any mode, reads its values off them with no
+    search and no nodes; clear_caches drops them. A key is checked when it is first
+    searched: ValueError unless its elements are distinct positive ints in
+    increasing order with gcd 1 and the root is among them. They need not be
+    divisor-connected, as the root's increment in a set equals its increment in the
+    root's component. Resource errors are re-raised with the key attached, and a
+    failed search keeps nothing.
     """
     node_limit = resolve_node_limit(node_limit)
-    key = canonical_key(c)
     full = key.normalized_elements
     n = len(full)
     pairs = _PAIRS.setdefault(fam.family_hash, {})
     packed = pairs.get(key)
     if packed is None:
+        if full != validated_elements(full) or math.gcd(*full) != 1 or key.root_value not in full:
+            raise ValueError(f"not a canonical key: {key}")
         search = _Search(fam, full, node_limit, f"{fam.name} on {n} elements")
         everything = (1 << n) - 1
         try:
-            packed = search.value(everything, 0), search.value(everything ^ (1 << c.root_index), 0)
+            packed = search.value(everything, 0), search.value(everything ^ (1 << full.index(key.root_value)), 0)
         except ResourceLimitError as exc:
             raise ResourceLimitError(
                 f"{exc} [component {','.join(map(str, full))} root {key.root_value}]", key=key
@@ -436,8 +440,6 @@ def local_increment(rec: BlockRecord, mode: Mode) -> int | float:
     a, b = rec.partition_full, rec.partition_deleted
     if a is None or b is None:
         raise ValueError("record lacks partition fields")
-    if isinstance(a, float):
-        return math.log(a / b)
     # one correctly rounded integer division of the exact ratio, as Fraction a / b
     # would round it, without building that Fraction
     return math.log((a.numerator * b.denominator) / (a.denominator * b.numerator))

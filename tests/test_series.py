@@ -183,6 +183,20 @@ def test_evaluate_partition_mode_brackets():
     assert est.lower <= est.upper
 
 
+def test_float_pressure_gives_the_bits_of_its_fraction():
+    # a float pressure is held as the Fraction equal to it, so 0.5 and 1/2 are one
+    # mode, and each evaluation, on a cleared memo, gives the same bracket bits
+    chain3 = builtin_family("chain:3")
+    params = TruncationParams(10.0, 1e6)
+    assert partition_mode(0.5) == partition_mode(Fraction(1, 2))
+    clear_caches()
+    a = evaluate(chain3, partition_mode(0.5), params)
+    clear_caches()
+    b = evaluate(chain3, partition_mode(Fraction(1, 2)), params)
+    assert (a.S.hex(), a.lower.hex(), a.upper.hex()) == (b.S.hex(), b.lower.hex(), b.upper.hex())
+    clear_caches()
+
+
 def test_estimate_invariants_random_params():
     rng = random.Random(31337)
     for _ in range(12):

@@ -8,6 +8,7 @@ import pytest
 
 from divbound import solver
 from divbound.numtheory import (
+    CanonicalKey,
     RootedComponent,
     canonical_key,
     divisor_connected_component,
@@ -127,15 +128,15 @@ def test_partition_at_one_equals_count():
 
 
 def test_solve_block_examples():
-    rec = solve_block(RootedComponent((2, 4), 0), TWO_FORK, DENSITY)
+    rec = solve_block(canonical_key(RootedComponent((2, 4), 0)), TWO_FORK, DENSITY)
     assert (rec.size_full, rec.size_deleted) == (2, 1)
     assert local_increment(rec, DENSITY) == 1
 
-    rec = solve_block(RootedComponent((1, 2, 3), 0), TWO_FORK, DENSITY)
+    rec = solve_block(canonical_key(RootedComponent((1, 2, 3), 0)), TWO_FORK, DENSITY)
     assert (rec.size_full, rec.size_deleted) == (2, 2)
     assert local_increment(rec, DENSITY) == 0
 
-    rec = solve_block(RootedComponent((1,), 0), TWO_FORK, COUNTING)
+    rec = solve_block(canonical_key(RootedComponent((1,), 0)), TWO_FORK, COUNTING)
     assert (rec.count_full, rec.count_deleted) == (2, 1)
     assert local_increment(rec, COUNTING) == pytest.approx(math.log(2), abs=1e-15)
 
@@ -143,7 +144,7 @@ def test_solve_block_examples():
 def test_local_increment_examples():
     rec = BlockRecord(key=None, count_full=7, count_deleted=4)
     assert local_increment(rec, COUNTING) == pytest.approx(math.log(7 / 4), abs=1e-15)
-    rec = solve_block(RootedComponent((1, 2, 3), 0), TWO_FORK, COUNTING)
+    rec = solve_block(canonical_key(RootedComponent((1, 2, 3), 0)), TWO_FORK, COUNTING)
     assert (rec.count_full, rec.count_deleted) == (7, 4)
 
 
@@ -156,7 +157,7 @@ def test_local_increment_requires_mode_fields():
 
 def test_solve_block_partition_mode():
     mode = partition_mode(2)
-    rec = solve_block(RootedComponent((1, 2), 0), TWO_FORK, mode)
+    rec = solve_block(canonical_key(RootedComponent((1, 2), 0)), TWO_FORK, mode)
     assert (rec.partition_full, rec.partition_deleted) == (9, 3)
     h = local_increment(rec, mode)
     assert 0 <= h <= math.log(3) + 1e-12
@@ -173,11 +174,11 @@ def test_increment_ranges_on_random_blocks():
         t = rng.randint(d, d + 25)
         comp = rooted_component(d, t)
         fam = rng.choice(fams)
-        rec = solve_block(comp, fam, DENSITY)
+        rec = solve_block(canonical_key(comp), fam, DENSITY)
         assert local_increment(rec, DENSITY) in (0, 1)
-        rec = solve_block(comp, fam, COUNTING)
+        rec = solve_block(canonical_key(comp), fam, COUNTING)
         assert -1e-12 <= local_increment(rec, COUNTING) <= math.log(2) + 1e-12
-        rec = solve_block(comp, fam, zmode)
+        rec = solve_block(canonical_key(comp), fam, zmode)
         assert -1e-12 <= local_increment(rec, zmode) <= zbound + 1e-12
 
 
@@ -186,22 +187,23 @@ def test_dilation_invariance_of_increments():
     for _ in range(50):
         d = rng.randint(1, 25)
         t = rng.randint(d, d + 20)
-        m = rng.randint(1, 5)
+        m = rng.randint(2, 5)
         base = rooted_component(d, t)
         scaled_elems = divisor_connected_component(
             [m * v for v in range(d, t + 1)], m * d
         )
         scaled = RootedComponent(scaled_elems, scaled_elems.index(m * d))
-        # both copies have one canonical key, so a solve of one would answer the
-        # other from the memo and the stored pair: each is solved on a cleared one
+        assert scaled.elements == tuple(m * v for v in base.elements)
         assert canonical_key(base) == canonical_key(scaled)
         fam = rng.choice((TWO_FORK, CHAIN2, FOREST))
-        for mode in (DENSITY, COUNTING):
+        # the scaled sets' searches build their masks over the scaled integers and
+        # divide every key by a gcd of at least m; each search runs on a cleared
+        # memo, which the other's entries, under the same keys, would answer
+        for S in (base.elements, [v for v in base.elements if v != d]):
             clear_caches()
-            a = local_increment(solve_block(base, fam, mode), mode)
+            P = size_polynomial(S, fam)
             clear_caches()
-            b = local_increment(solve_block(scaled, fam, mode), mode)
-            assert a == b
+            assert size_polynomial([m * v for v in S], fam) == P
     clear_caches()
 
 
@@ -224,9 +226,54 @@ def test_solve_block_resource_error_names_key():
     clear_caches()
     comp = rooted_component(1, 16)
     with pytest.raises(ResourceLimitError) as info:
-        solve_block(comp, TWO_FORK, COUNTING, node_limit=2)
+        solve_block(canonical_key(comp), TWO_FORK, COUNTING, node_limit=2)
     assert info.value.key is not None
     assert "root 1" in str(info.value)
+    clear_caches()
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        CanonicalKey((2, 1), 1),
+        CanonicalKey((1, 2, 2), 1),
+        CanonicalKey((2, 4), 2),
+        CanonicalKey((1, 2), 3),
+        CanonicalKey((), 1),
+        CanonicalKey((0, 1), 1),
+        CanonicalKey((-1, 1), 1),
+    ],
+    ids=["unsorted", "duplicate", "gcd-2", "root-outside", "empty", "zero", "negative"],
+)
+def test_solve_block_rejects_keys_not_canonical(key):
+    clear_caches()
+    with pytest.raises(ValueError):
+        solve_block(key, TWO_FORK, COUNTING)
+    assert not solver._PAIRS[TWO_FORK.family_hash]
+    clear_caches()
+
+
+def test_solve_block_takes_keys_not_divisor_connected():
+    # 5 joins neither 2 nor 4, so it adds one free element to every admissible set
+    clear_caches()
+    rec = solve_block(CanonicalKey((2, 4, 5), 2), TWO_FORK, COUNTING)
+    assert (rec.count_full, rec.count_deleted) == (8, 4)
+    clear_caches()
+
+
+def test_solved_key_is_answered_without_search(monkeypatch):
+    clear_caches()
+    key = canonical_key(rooted_component(3, 40))
+    rec = solve_block(key, TWO_FORK, COUNTING)
+    built = _count_searches(monkeypatch)
+
+    def unchecked(S):
+        raise AssertionError("a stored pair is not checked again")
+
+    monkeypatch.setattr(solver, "validated_elements", unchecked)
+    assert solve_block(key, TWO_FORK, COUNTING) == rec
+    assert solve_block(key, TWO_FORK, DENSITY).key == key
+    assert not built
     clear_caches()
 
 
@@ -250,7 +297,7 @@ def test_solve_block_builds_one_search(monkeypatch):
     clear_caches()
     built = _count_searches(monkeypatch)
     comp = rooted_component(2, 40)
-    rec = solve_block(comp, TWO_FORK, COUNTING)
+    rec = solve_block(canonical_key(comp), TWO_FORK, COUNTING)
     assert len(built) == 1
     deleted = [v for v in comp.elements if v != comp.root]
     assert (rec.count_full, rec.count_deleted) == (
@@ -272,11 +319,11 @@ def test_one_search_serves_every_mode(monkeypatch):
 
     monkeypatch.setattr(solver, "is_admissible_with", counting)
     comp = rooted_component(1, 16)
-    density = solve_block(comp, TWO_FORK, DENSITY)
+    density = solve_block(canonical_key(comp), TWO_FORK, DENSITY)
     assert calls
     searched = len(calls)
-    counting_rec = solve_block(comp, TWO_FORK, COUNTING)
-    partition = solve_block(comp, TWO_FORK, partition_mode(2))
+    counting_rec = solve_block(canonical_key(comp), TWO_FORK, COUNTING)
+    partition = solve_block(canonical_key(comp), TWO_FORK, partition_mode(2))
     assert len(calls) == searched
     assert len(built) == 1
     assert (density.size_full, counting_rec.count_full) == (
@@ -287,7 +334,7 @@ def test_one_search_serves_every_mode(monkeypatch):
     # the block's pair is dropped with the memo, so solving it again repeats the search
     clear_caches()
     del built[:], calls[:]
-    assert solve_block(comp, TWO_FORK, COUNTING) == counting_rec
+    assert solve_block(canonical_key(comp), TWO_FORK, COUNTING) == counting_rec
     assert len(built) == 1
     assert len(calls) == searched
     clear_caches()
@@ -297,8 +344,8 @@ def test_failed_search_stores_nothing():
     clear_caches()
     comp = rooted_component(1, 16)
     with pytest.raises(ResourceLimitError):
-        solve_block(comp, TWO_FORK, COUNTING, node_limit=2)
-    rec = solve_block(comp, TWO_FORK, COUNTING)
+        solve_block(canonical_key(comp), TWO_FORK, COUNTING, node_limit=2)
+    rec = solve_block(canonical_key(comp), TWO_FORK, COUNTING)
     deleted = [v for v in comp.elements if v != comp.root]
     assert (rec.count_full, rec.count_deleted) == (
         COUNTING.value(size_polynomial(comp.elements, TWO_FORK)),
@@ -325,12 +372,12 @@ def test_partition_value_is_integer_horner():
         got = partition_mode(z).value(P)
         assert type(got) is Fraction
         assert got == _horner_loop(P, z), (P, z)
-    # a float pressure keeps the float loop, bit for bit
+    # a float pressure is valued at the Fraction equal to it, exactly
     for _ in range(500):
         z = rng.choice((0.7, 2.0, 1e-3, rng.uniform(0.01, 50.0)))
         P = (1, *(rng.randint(0, 10**30) for _ in range(rng.randint(0, 30))))
         got = partition_mode(z).value(P)
-        assert type(got) is float and got == _horner_loop(P, z)
+        assert type(got) is Fraction and got == _horner_loop(P, Fraction(z)), (P, z)
 
 
 @pytest.mark.parametrize(
@@ -362,7 +409,7 @@ def test_search_tree_is_pinned(monkeypatch, name, d, t, nodes):
         return real(*args)
 
     monkeypatch.setattr(solver, "is_admissible_with", counting)
-    solve_block(rooted_component(d, t), fam, COUNTING, node_limit=50_000)
+    solve_block(canonical_key(rooted_component(d, t)), fam, COUNTING, node_limit=50_000)
     assert len(calls) == nodes
     assert sum(len(memo) for memo in solver._MEMO.values()) == nodes
     clear_caches()
@@ -397,7 +444,7 @@ def test_memo_contents_are_pinned(name, d, t, digest):
     # same component met in another block or mode; these hashes pin every entry
     fam = builtin_family(name)
     clear_caches()
-    solve_block(rooted_component(d, t), fam, COUNTING)
+    solve_block(canonical_key(rooted_component(d, t)), fam, COUNTING)
     memo = solver._MEMO[fam.family_hash]
     items = sorted((key, unpack(P, len(key[0]))) for key, P in zip(map(decode, memo), memo.values()))
     assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
@@ -551,7 +598,7 @@ def test_memo_keys_hold_only_near_chosen_elements(fam, radius, t):
     # every memo key, from a split or from the include branch's derived key, keeps
     # only chosen values within radius steps of an undecided one through chosen ones
     clear_caches()
-    solve_block(rooted_component(1, t), fam, COUNTING)
+    solve_block(canonical_key(rooted_component(1, t)), fam, COUNTING)
     for rest, chosen in map(decode, solver._MEMO[fam.family_hash]):
         near, frontier = set(), set(rest)
         for _ in range(radius):
@@ -664,6 +711,21 @@ def test_mode_validation():
     for z in (Fraction(10) ** 400, math.inf, math.nan, 0, -1.5, float("nan")):
         with pytest.raises(ValueError):
             partition_mode(z)
+
+
+def test_partition_pressure_is_exact():
+    for z in (0.5, 2.0, 0.1, 1e-300, 1e300, 3, Fraction(7, 3)):
+        mode = partition_mode(z)
+        assert type(mode.pressure) is Fraction and mode.pressure == Fraction(z)
+    assert partition_mode(0.5) == partition_mode(Fraction(1, 2))
+    assert partition_mode(2.0).tag == partition_mode(2).tag == "partition:2"
+    # 0.1 is a binary fraction close to, not equal to, 1/10
+    assert partition_mode(0.1) != partition_mode(Fraction(1, 10))
+    # the range check runs before the conversion, so these raise ValueError, not
+    # OverflowError, and True is not the pressure 1
+    for z in (float("inf"), float("nan"), True):
+        with pytest.raises(ValueError):
+            Mode("partition", z)
 
 
 def test_large_elements_stay_exact():
