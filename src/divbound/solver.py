@@ -188,8 +188,8 @@ def _selectors(mask: int) -> bytes:
 _KEY_CHARS = sys.maxunicode + 1
 
 
-# the matcher of patterns.Checker, called once per search node under this module
-# name, so that replacing it here counts or times the nodes
+# the matcher of patterns.Checker, called under this module name for every
+# element the search tests, so that replacing it here counts or times the tests
 is_admissible_with = Checker.allows
 
 
@@ -208,6 +208,12 @@ class _Search(Checker):
     A state is a pair of bitmasks over the sorted elements. The search is the
     patterns.Checker of its elements: adj[j] masks the elements comparable with
     element j, and is_admissible_with, the checker's allows, decides each include.
+    Admissibility is hereditary, so an undecided element that chosen blocks is in
+    no set below the state: a node tests every undecided element with a chosen
+    neighbour, once per chosen mask and search, and drops all the blocked ones at
+    once, valuing the smaller state through value(), which memoizes it under its
+    own key for every state that reduces to it. Only when none is blocked does a
+    node branch, on an element known to be admissible.
 
     A new forbidden copy holds an undecided element x and is connected, so it lies
     within radius steps of x: the largest Pattern.diameter, taken on the pattern's
@@ -223,7 +229,7 @@ class _Search(Checker):
     Keys are per family, shared by every mode, and the memo is insert-only.
     """
 
-    __slots__ = ("memo", "nodes_left", "limit", "label", "elements", "radius")
+    __slots__ = ("memo", "nodes_left", "limit", "label", "elements", "radius", "verdicts")
 
     def __init__(self, family: AdmissibleFamily, elements: tuple[int, ...], node_limit: int, label: str):
         super().__init__(elements, family)
@@ -235,9 +241,14 @@ class _Search(Checker):
         # 0 turns pruning off; at least 1 keeps an included element that has an
         # undecided neighbour, so the include branch's derived key stays pruned
         self.radius = 0 if family.forbid_cycles else max([1] + [p.diameter for p in family.patterns])
+        # chosen mask -> (elements tested against it, those of them it blocks)
+        self.verdicts: dict[int, tuple[int, int]] = {}
 
     def _near(self, rest: int, chosen: int) -> int:
-        """The chosen elements within radius steps of rest, each step into chosen."""
+        """The chosen elements within radius steps of rest, each step into chosen;
+        every chosen element at radius 0, the forest families' radius."""
+        if not self.radius:
+            return chosen
         adj = self.adj
         far = chosen
         frontier = rest
@@ -299,14 +310,37 @@ class _Search(Checker):
             raise ResourceLimitError(
                 f"search budget of {self.limit} nodes exhausted while solving {self.label}"
             )
-        # fail first: the undecided element with the most chosen neighbours, then the
-        # most neighbours in the state, then the smallest. Such an element is often
-        # blocked, a cheap exclude-only node; included, it settles its neighbourhood.
-        # One with a chosen neighbour beats every one without, so when there is one
-        # only those are scanned.
         adj = self.adj
-        union = rest | chosen
+        r = rest.bit_count()
+        w = _width(r)
+        # Every copy is connected, so only an element with a chosen neighbour can be
+        # blocked. Verdicts are kept per chosen mask, which exclude branches keep,
+        # so each (chosen, element) pair is tested once per search.
         scan = rest & reduce(or_, compress(adj, _selectors(chosen)), 0) if chosen else 0
+        if scan:
+            tested, blocked = self.verdicts.get(chosen, (0, 0))
+            untested = scan & ~tested
+            if untested:
+                selectors = _selectors(untested)
+                for e in compress(range(len(selectors)), selectors):
+                    if not is_admissible_with(self, chosen, e):
+                        blocked |= 1 << e
+                self.verdicts[chosen] = (tested | untested, blocked)
+            blocked &= scan
+            if blocked:
+                # a blocking copy is connected and holds its undecided element, so
+                # it lies within the radius _near keeps, and a verdict read on the
+                # pruned chosen is the element's true one
+                rest ^= blocked
+                val = self.value(rest, self._near(rest, chosen))
+                w2 = _width(rest.bit_count())
+                return val if w2 == w else _repack(val, w2, w)
+        # fail first: the undecided element with the most chosen neighbours, then the
+        # most neighbours in the state, then the smallest. One with a chosen
+        # neighbour beats every one without, so when there is one only those are
+        # scanned; every one of them is admissible here, and included, it settles
+        # its neighbourhood.
+        union = rest | chosen
         selectors = _selectors(scan or rest)
         nbrs = list(compress(adj, selectors))
         degrees = list(
@@ -324,13 +358,12 @@ class _Search(Checker):
             touching ^= y
             recheck = not adj[y.bit_length() - 1] & rest2
         # both branches are packed at the width of r - 1
-        r = rest.bit_count()
-        w = _width(r)
         widen = r % 32 == 0
         without = self.value(rest2, self._near(rest2, chosen) if recheck else chosen)
         if widen:
             without = _repack(without, w - 32, w)
-        if not is_admissible_with(self, chosen, x):
+        # an x from scan passed the matcher above
+        if not scan and not is_admissible_with(self, chosen, x):
             return without
         chosen2 = chosen | (1 << x)
         # an included x is one step from rest2, or two through a y; one without
@@ -396,7 +429,11 @@ def solve_block(
     full = key.normalized_elements
     n = len(full)
     pairs = _PAIRS.setdefault(fam.family_hash, {})
-    packed = pairs.get(key)
+    try:
+        packed = pairs.get(key)
+    except TypeError:
+        # an unhashable part, such as a list of elements, is no canonical key
+        raise ValueError(f"not a canonical key: {key}") from None
     if packed is None:
         if full != validated_elements(full) or math.gcd(*full) != 1 or key.root_value not in full:
             raise ValueError(f"not a canonical key: {key}")

@@ -242,8 +242,10 @@ def test_solve_block_resource_error_names_key():
         CanonicalKey((), 1),
         CanonicalKey((0, 1), 1),
         CanonicalKey((-1, 1), 1),
+        # a list cannot be hashed for the stored-pair lookup
+        CanonicalKey([1, 2], 1),
     ],
-    ids=["unsorted", "duplicate", "gcd-2", "root-outside", "empty", "zero", "negative"],
+    ids=["unsorted", "duplicate", "gcd-2", "root-outside", "empty", "zero", "negative", "list"],
 )
 def test_solve_block_rejects_keys_not_canonical(key):
     clear_caches()
@@ -381,36 +383,39 @@ def test_partition_value_is_integer_horner():
 
 
 @pytest.mark.parametrize(
-    "name, d, t, nodes",
+    "name, d, t, calls, nodes",
     [
-        ("two-fork", 1, 30, 978),
-        ("two-fork", 6, 60, 692),
-        ("chain:3", 10, 60, 68),
+        # every undecided element with a chosen neighbour is tested once per chosen
+        # mask, and the blocked ones are dropped without a node of their own, so
+        # matcher calls and nodes differ
+        ("two-fork", 1, 30, 761, 312),
+        ("two-fork", 6, 60, 339, 427),
+        ("chain:3", 10, 60, 98, 67),
         # 29 elements; without pruning the full-set search alone passes 300,000 nodes,
-        # radius 2 (the undirected diameter) instead of the closure's 1 takes 19,718,
-        # and branching on the most comparable element at radius 2 takes 39,765
-        ("chain:3", 6, 60, 2459),
-        # forest families keep every chosen element, so only the branching rule moves
-        # this count (2,319 when branching on the most comparable element)
-        ("forest", 1, 16, 2073),
+        # and radius 2 (the undirected diameter) instead of the closure's 1 takes
+        # 19,576
+        ("chain:3", 6, 60, 4162, 2385),
+        # forest families keep every chosen element, so only the branching rule and
+        # the dropping of blocked elements move this count
+        ("forest", 1, 16, 2068, 2056),
     ],
     ids=["two-fork-1-30", "two-fork-6-60", "chain3-10-60", "chain3-6-60", "forest-1-16"],
 )
-def test_search_tree_is_pinned(monkeypatch, name, d, t, nodes):
+def test_search_tree_is_pinned(monkeypatch, name, d, t, calls, nodes):
     # a changed branching rule, component split or pruning changes these counts;
-    # every search here stays within 50,000 nodes
+    # every search here stays within 50,000 nodes, and each node is one memo entry
     fam = builtin_family(name)
     clear_caches()
-    calls = []
+    made = []
     real = solver.is_admissible_with
 
     def counting(*args):
-        calls.append(args)
+        made.append(args)
         return real(*args)
 
     monkeypatch.setattr(solver, "is_admissible_with", counting)
     solve_block(canonical_key(rooted_component(d, t)), fam, COUNTING, node_limit=50_000)
-    assert len(calls) == nodes
+    assert len(made) == calls
     assert sum(len(memo) for memo in solver._MEMO.values()) == nodes
     clear_caches()
 
@@ -433,9 +438,9 @@ def unpack(P, r):
 @pytest.mark.parametrize(
     "name, d, t, digest",
     [
-        ("two-fork", 1, 30, "c3156e659e94ce080fd0a637ab0cdb871677943d293eb6685df4112c44890e4c"),
-        ("two-fork", 6, 60, "813e6937f4fcf73e09ad261a8fda113d344ed5bcbc170c714e326b98721b382a"),
-        ("chain:3", 10, 60, "f181d3901426f83e7fbf764bf078e12584a7d1ff61afab6ac7db6ca557e39db6"),
+        ("two-fork", 1, 30, "1d042df7c125ac2d03b120b65c603e714e45a0c25ff59d7b2ce33ea25345ac5b"),
+        ("two-fork", 6, 60, "7988cc97508d6bfcf5d42e6bf5ac83db46e29919081f7b9f6084c333bc3fcdcb"),
+        ("chain:3", 10, 60, "619c5c3640cbc44d80902f1924392e5f5dcb4f4a728664d659f0b593bbe88caa"),
     ],
     ids=["two-fork-1-30", "two-fork-6-60", "chain3-10-60"],
 )
@@ -665,6 +670,50 @@ def test_matcher_matches_is_admissible(fam):
         outcomes.append(admissible_with(S, x, fam))
         assert outcomes[-1] == independent.admissible(S | {x}, fam), (S, x)
     assert True in outcomes and False in outcomes
+
+
+def test_near_keeps_every_chosen_element_at_radius_zero():
+    # forest families prune nothing, so a chosen element stays however far it is
+    search = solver._Search(FOREST, (1, 2, 3, 4), 1, "near test")
+    assert search.radius == 0
+    assert search._near(0b1, 0b110) == 0b110
+    # 2 and 9 are not comparable
+    assert solver._Search(FOREST, (2, 3, 4, 9), 1, "near test")._near(0b1, 0b1000) == 0b1000
+
+
+@pytest.mark.parametrize("name", ["two-fork", "r-fork:3", "in-fork:2", "chain:2", "chain:3", "forest"])
+def test_state_value_matches_brute_force(name):
+    # a state's size polynomial counts the sets A of its undecided elements with
+    # chosen + A admissible; chosen often blocks several undecided elements, which
+    # the search drops before it branches. The reference enumerates A with the
+    # predicates of tests/independent.py on the whole chosen set
+    fam = builtin_family(name)
+    rng = random.Random(f"states of {name}")
+    several = 0
+    for _ in range(60):
+        pool = tuple(sorted(rng.sample(range(1, 25), rng.randint(6, 11))))
+        # chosen grows greedily, in random order, to a random size
+        size = rng.randint(1, len(pool) - 2)
+        chosen_values = []
+        for v in rng.sample(pool, len(pool)):
+            if len(chosen_values) < size and independent.admissible([*chosen_values, v], fam):
+                chosen_values.append(v)
+        rest_values = [v for v in pool if v not in chosen_values]
+        hist = [
+            sum(1 for A in itertools.combinations(rest_values, k) if independent.admissible([*chosen_values, *A], fam))
+            for k in range(len(rest_values) + 1)
+        ]
+        while hist[-1] == 0:
+            hist.pop()
+        several += sum(not independent.admissible([*chosen_values, v], fam) for v in rest_values) >= 2
+        clear_caches()
+        search = solver._Search(fam, pool, 10**6, "state test")
+        rest = sum(1 << pool.index(v) for v in rest_values)
+        chosen = sum(1 << pool.index(v) for v in chosen_values)
+        P = search.value(rest, search._near(rest, chosen))
+        assert solver._unpack(P, solver._width(len(rest_values))) == tuple(hist), (pool, chosen_values, rest_values)
+    assert several >= 5, several
+    clear_caches()
 
 
 def test_str_and_tuple_keys_share_one_memo():
