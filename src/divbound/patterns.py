@@ -16,6 +16,7 @@ the solver's search (a subclass of it) all run on it.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -212,7 +213,8 @@ class Checker:
         mult = [0] * len(pool)
         div = [0] * len(pool)
         for j, b in enumerate(pool):
-            for i in range(j):
+            # a proper divisor of b is at most b // 2
+            for i in range(bisect_right(pool, b // 2, 0, j)):
                 if b % pool[i] == 0:
                     mult[i] |= 1 << j
                     div[j] |= 1 << i

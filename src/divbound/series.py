@@ -14,6 +14,7 @@ for small budgets and testing.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -211,9 +212,16 @@ class BlockCache:
         else:
             fields = ("-", "-", rec.count_full, rec.count_deleted)
         line = "\t".join([*self._line_key(family_hash, mode_tag, rec.key), *map(str, fields)])
+        data = (line + "\n").encode()
         try:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            # one unbuffered append of the whole line; a short write goes on with
+            # the bytes not yet written
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                while data:
+                    data = data[os.write(fd, data) :]
+            finally:
+                os.close(fd)
         except OSError as exc:
             _warn("cannot append to cache file %s (%s); continuing in memory", self.path, exc)
             self.path = None

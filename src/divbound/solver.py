@@ -17,9 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import compress, repeat, zip_longest
-from operator import or_
 from typing import Iterable
 
 from .numtheory import CanonicalKey
@@ -209,11 +207,11 @@ class _Search(Checker):
     patterns.Checker of its elements: adj[j] masks the elements comparable with
     element j, and is_admissible_with, the checker's allows, decides each include.
     Admissibility is hereditary, so an undecided element that chosen blocks is in
-    no set below the state: a node tests every undecided element with a chosen
-    neighbour, once per chosen mask and search, and drops all the blocked ones at
-    once, valuing the smaller state through value(), which memoizes it under its
-    own key for every state that reduces to it. Only when none is blocked does a
-    node branch, on an element known to be admissible.
+    no set below the state. No state the search keys has one: a node branches on
+    an element x, and before its include child is keyed, the undecided elements
+    that chosen + x blocks are found (_blocked) and dropped, and the smaller state
+    is valued through value(). With nothing chosen, x itself is tested, as a
+    pattern of one vertex blocks every element.
 
     A new forbidden copy holds an undecided element x and is connected, so it lies
     within radius steps of x: the largest Pattern.diameter, taken on the pattern's
@@ -229,7 +227,7 @@ class _Search(Checker):
     Keys are per family, shared by every mode, and the memo is insert-only.
     """
 
-    __slots__ = ("memo", "nodes_left", "limit", "label", "elements", "radius", "verdicts")
+    __slots__ = ("memo", "nodes_left", "limit", "label", "elements", "radius", "verdicts", "known")
 
     def __init__(self, family: AdmissibleFamily, elements: tuple[int, ...], node_limit: int, label: str):
         super().__init__(elements, family)
@@ -241,8 +239,21 @@ class _Search(Checker):
         # 0 turns pruning off; at least 1 keeps an included element that has an
         # undecided neighbour, so the include branch's derived key stays pruned
         self.radius = 0 if family.forbid_cycles else max([1] + [p.diameter for p in family.patterns])
-        # chosen mask -> (elements tested against it, those of them it blocks)
-        self.verdicts: dict[int, tuple[int, int]] = {}
+        # chosen mask -> (its neighbourhood, undecided elements that pass against it,
+        # those it blocks), for the search
+        self.verdicts: dict[int, tuple[int, int, int]] = {}
+        # (undecided, chosen) masks of a component -> its value, for the search
+        self.known: dict[tuple[int, int], int] = {}
+
+    def _union(self, mask: int) -> int:
+        """The elements comparable with some element of mask."""
+        adj = self.adj
+        out = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out |= adj[low.bit_length() - 1]
+        return out
 
     def _near(self, rest: int, chosen: int) -> int:
         """The chosen elements within radius steps of rest, each step into chosen;
@@ -253,7 +264,15 @@ class _Search(Checker):
         far = chosen
         frontier = rest
         for _ in range(self.radius):
-            frontier = reduce(or_, compress(adj, _selectors(frontier)), 0) & far
+            # the far elements one step from the frontier
+            step = 0
+            scan = far
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                if adj[low.bit_length() - 1] & frontier:
+                    step |= low
+            frontier = step
             far ^= frontier
             if not (frontier and far):
                 break
@@ -261,13 +280,13 @@ class _Search(Checker):
 
     def value(self, rest: int, chosen: int) -> int:
         """Product over the divisor-graph components of rest+chosen, where chosen is
-        already pruned to the elements near rest, packed at the width of rest's size.
-        Admissibility factors over the components because every forbidden structure
-        is connected."""
+        already pruned to the elements near rest and, unless empty, blocks no
+        element of rest, packed at the width of rest's size. Admissibility factors
+        over the components because every forbidden structure is connected."""
         total = 1
-        w = _width(rest.bit_count())
+        r = rest.bit_count()
         adj = self.adj
-        elements = self.elements
+        known = self.known
         todo = rest | chosen
         while todo & rest:
             # flood fill from the lowest element; todo keeps what is left unreached
@@ -284,25 +303,36 @@ class _Search(Checker):
             if not comp_rest:
                 continue
             comp_chosen = comp & chosen
-            values = (*compress(elements, _selectors(comp_rest)), 0, *compress(elements, _selectors(comp_chosen)))
-            g = math.gcd(*values)
-            if g != 1:
-                values = map(g.__rfloordiv__, values)
-            # the component's largest element has its largest value
-            if elements[comp.bit_length() - 1] // g < _KEY_CHARS:
-                key = "".join(map(chr, values))
-            else:
-                key = tuple(values)
-            val = self.memo.get(key)
+            # the same masks are the same component, keyed once per search
+            val = known.get((comp_rest, comp_chosen))
             if val is None:
-                val = self.memo[key] = self._branch(comp_rest, comp_chosen, key)
+                val = known[comp_rest, comp_chosen] = self._component(comp_rest, comp_chosen)
             # a component's value is packed at the width of its own size, which can
-            # be narrower than the product's
-            comp_w = _width(comp_rest.bit_count())
-            if comp_w != w:
-                val = _repack(val, comp_w, w)
+            # be narrower than the product's: _width changes with r // 32
+            comp_r = comp_rest.bit_count()
+            if comp_r >> 5 != r >> 5:
+                val = _repack(val, _width(comp_r), _width(r))
             total = val if total == 1 else total * val
         return total
+
+    def _component(self, rest: int, chosen: int) -> int:
+        """The value of one divisor-graph component, from the memo or searched."""
+        elements = self.elements
+        values = (*compress(elements, _selectors(rest)), 0)
+        if chosen:
+            values += (*compress(elements, _selectors(chosen)),)
+        g = math.gcd(*values)
+        if g != 1:
+            values = map(g.__rfloordiv__, values)
+        # the component's largest element has its largest value
+        if elements[(rest | chosen).bit_length() - 1] // g < _KEY_CHARS:
+            key = "".join(map(chr, values))
+        else:
+            key = tuple(values)
+        val = self.memo.get(key)
+        if val is None:
+            val = self.memo[key] = self._branch(rest, chosen, key)
+        return val
 
     def _branch(self, rest: int, chosen: int, key: str | tuple[int, ...]) -> int:
         self.nodes_left -= 1
@@ -313,41 +343,29 @@ class _Search(Checker):
         adj = self.adj
         r = rest.bit_count()
         w = _width(r)
-        # Every copy is connected, so only an element with a chosen neighbour can be
-        # blocked. Verdicts are kept per chosen mask, which exclude branches keep,
-        # so each (chosen, element) pair is tested once per search.
-        scan = rest & reduce(or_, compress(adj, _selectors(chosen)), 0) if chosen else 0
-        if scan:
-            tested, blocked = self.verdicts.get(chosen, (0, 0))
-            untested = scan & ~tested
-            if untested:
-                selectors = _selectors(untested)
-                for e in compress(range(len(selectors)), selectors):
-                    if not is_admissible_with(self, chosen, e):
-                        blocked |= 1 << e
-                self.verdicts[chosen] = (tested | untested, blocked)
-            blocked &= scan
-            if blocked:
-                # a blocking copy is connected and holds its undecided element, so
-                # it lies within the radius _near keeps, and a verdict read on the
-                # pruned chosen is the element's true one
-                rest ^= blocked
-                val = self.value(rest, self._near(rest, chosen))
-                w2 = _width(rest.bit_count())
-                return val if w2 == w else _repack(val, w2, w)
+        entry = self.verdicts.get(chosen)
+        if entry is None:
+            # chosen blocks no undecided element of a keyed state
+            entry = self.verdicts[chosen] = (self._union(chosen), rest, 0)
         # fail first: the undecided element with the most chosen neighbours, then the
         # most neighbours in the state, then the smallest. One with a chosen
         # neighbour beats every one without, so when there is one only those are
-        # scanned; every one of them is admissible here, and included, it settles
-        # its neighbourhood.
+        # scanned; included, it settles its neighbourhood. The state is connected,
+        # so there is one unless nothing is chosen.
         union = rest | chosen
-        selectors = _selectors(scan or rest)
-        nbrs = list(compress(adj, selectors))
-        degrees = list(
-            zip(map(int.bit_count, map(chosen.__and__, nbrs)), map(int.bit_count, map(union.__and__, nbrs)))
-        )
-        x = list(compress(range(len(selectors)), selectors))[degrees.index(max(degrees))]
-        rest2 = rest ^ (1 << x)
+        scan = rest & entry[0] or rest
+        best = -1
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            nbrs = adj[low.bit_length() - 1]
+            # a union degree is below 2**32: no state has that many elements
+            score = (nbrs & chosen).bit_count() << 32 | (nbrs & union).bit_count()
+            if score > best:
+                best = score
+                bit = low
+        x = bit.bit_length() - 1
+        rest2 = rest ^ bit
         # Every chosen element is near rest. A path that starts at x goes on through a
         # chosen neighbour y of x; when every such y has a neighbour in rest2, each
         # path can start there instead, and no chosen element stops being near.
@@ -362,35 +380,97 @@ class _Search(Checker):
         without = self.value(rest2, self._near(rest2, chosen) if recheck else chosen)
         if widen:
             without = _repack(without, w - 32, w)
-        # an x from scan passed the matcher above
-        if not scan and not is_admissible_with(self, chosen, x):
+        # a pattern of one vertex blocks every element
+        if not chosen and not is_admissible_with(self, chosen, x):
             return without
-        chosen2 = chosen | (1 << x)
+        if not rest2:
+            return without + (1 << w)
+        chosen2 = chosen | bit
         # an included x is one step from rest2, or two through a y; one without
         # chosen neighbours has a neighbour in rest2, as the component is connected
         if recheck or (self.radius == 1 and chosen & adj[x] and not adj[x] & rest2):
             kept = self._near(rest2, chosen2)
         else:
             kept = chosen2
-        if kept != chosen2:
-            with_x = self.value(rest2, kept)
-        elif rest2:
+        with_x = child = None
+        if kept == chosen2:
             # including x keeps the union, hence one component with the same gcd: its
             # key moves x's value from index p, among the undecided values, to index
-            # q, among the chosen ones, which follow the r undecided values and the 0
-            below = (1 << x) - 1
+            # q, among the chosen ones, which follow the r undecided values and the 0.
+            # A stored value is the child's whatever chosen2 blocks, so it is read
+            # before any element is tested
+            below = bit - 1
             p = (rest & below).bit_count()
             q = r + 1 + (chosen & below).bit_count()
             child = key[:p] + key[p + 1 : q] + key[p : p + 1] + key[q:]
             with_x = self.memo.get(child)
-            if with_x is None:
+        if with_x is None:
+            blocked = self._blocked(rest, chosen, x, entry)
+            if blocked:
+                # the child without its blocked elements, memoized under its own key.
+                # A blocking copy lies within the radius _near keeps, so chosen2
+                # pruned blocks the same elements
+                rest2 ^= blocked
+                with_x = self.value(rest2, self._near(rest2, chosen2))
+                w2 = _width(rest2.bit_count())
+                return without + ((with_x if w2 == w else _repack(with_x, w2, w)) << w)
+            if child is None:
+                with_x = self.value(rest2, kept)
+            else:
                 with_x = self.memo[child] = self._branch(rest2, chosen2, child)
-        else:
-            with_x = 1
         if widen:
             with_x = _repack(with_x, w - 32, w)
         # P_without(x) + x * P_with(x)
         return without + (with_x << w)
+
+    def _blocked(self, rest: int, chosen: int, x: int, entry: tuple[int, int, int]) -> int:
+        """The undecided elements other than x that chosen + x blocks, in a state
+        whose every undecided element is admissible with chosen; entry is chosen's
+        verdicts.
+
+        Verdicts are kept per chosen mask, and a new mask's start from its
+        parent's: what chosen blocks chosen + x blocks, and what passed against
+        chosen still passes unless a copy through x reaches it. Such a copy is
+        connected and holds x, so the element lies within radius steps of x, each
+        step but the last into chosen; forest families, with no bound on a cycle,
+        test every undecided neighbour of chosen + x."""
+        adj = self.adj
+        nbhd, passed, blocked = entry
+        if self.radius:
+            reach = adj[x]
+            frontier = reach & chosen
+            far = chosen ^ frontier
+            for _ in range(self.radius - 1):
+                if not frontier:
+                    break
+                step = self._union(frontier)
+                reach |= step
+                frontier = step & far
+                far ^= frontier
+        else:
+            reach = -1
+        bit = 1 << x
+        chosen2 = chosen | bit
+        rest2 = rest ^ bit
+        inherited = (passed | rest) & ~reach
+        seen = self.verdicts.get(chosen2)
+        if seen is None:
+            nbhd |= adj[x]
+            passed = inherited
+        else:
+            nbhd = seen[0]
+            passed = seen[1] | inherited
+            blocked |= seen[2]
+        untested = rest2 & nbhd & ~(passed | blocked)
+        while untested:
+            low = untested & -untested
+            untested ^= low
+            if is_admissible_with(self, chosen2, low.bit_length() - 1):
+                passed |= low
+            else:
+                blocked |= low
+        self.verdicts[chosen2] = (nbhd, passed, blocked)
+        return blocked & rest2
 
 
 def size_polynomial(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int | None = None) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ import pytest
 from divbound.patterns import (
     REL_EITHER,
     AdmissibleFamily,
+    Checker,
     Pattern,
     PatternError,
     _distinct_plans,
@@ -34,6 +35,32 @@ def test_builtin_shapes():
     inf = in_fork(2)
     assert inf.vertex_count == 3
     assert all(v == 0 for _, v, _ in inf.edges)
+
+
+def test_checker_adjacency_matches_pairwise_divisibility():
+    # adj[i] masks the pool elements comparable with pool[i], against a pairwise
+    # scan: sparse pools of large values, a few of them multiples of one another,
+    # pools whose elements share a factor, and the oracle's 1..n
+    rng = random.Random("checker adjacency")
+    fam = builtin_family("two-fork")
+    sparse = []
+    shared = []
+    for _ in range(30):
+        base = rng.randint(10**6, 10**9)
+        values = {base * rng.randint(1, 40) for _ in range(rng.randint(1, 8))}
+        values |= {rng.randint(1, 10**12) for _ in range(rng.randint(0, 8))}
+        sparse.append(tuple(sorted(values)))
+        g = rng.randint(2, 50)
+        shared.append(tuple(sorted(g * v for v in rng.sample(range(1, 200), rng.randint(1, 25)))))
+    edges = 0
+    for pool in [(), *(tuple(range(1, n + 1)) for n in (1, 2, 24)), *sparse, *shared]:
+        want = [
+            sum(1 << j for j, b in enumerate(pool) if j != i and (b % a == 0 or a % b == 0))
+            for i, a in enumerate(pool)
+        ]
+        assert Checker(pool, fam).adj == want, pool
+        edges += pool in sparse and any(want)
+    assert edges >= 10
 
 
 def test_builder_parameter_validation():

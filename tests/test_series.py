@@ -259,9 +259,10 @@ def test_evaluate_matches_exact_reference():
 
 
 def test_evaluate_aborts_on_resource_error():
+    # the largest search at 1e6 takes 3 nodes
     clear_caches()
     with pytest.raises(ResourceLimitError):
-        evaluate(TWO_FORK, COUNTING, TruncationParams(10.0, 1e6), node_limit=3)
+        evaluate(TWO_FORK, COUNTING, TruncationParams(10.0, 1e6), node_limit=2)
     clear_caches()
 
 

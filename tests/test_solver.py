@@ -385,19 +385,19 @@ def test_partition_value_is_integer_horner():
 @pytest.mark.parametrize(
     "name, d, t, calls, nodes",
     [
-        # every undecided element with a chosen neighbour is tested once per chosen
-        # mask, and the blocked ones are dropped without a node of their own, so
-        # matcher calls and nodes differ
-        ("two-fork", 1, 30, 761, 312),
-        ("two-fork", 6, 60, 339, 427),
-        ("chain:3", 10, 60, 98, 67),
-        # 29 elements; without pruning the full-set search alone passes 300,000 nodes,
+        # an include tests the undecided elements a copy through the new element
+        # can reach, once per chosen mask, and drops the blocked ones before the
+        # child is keyed, so matcher calls and nodes differ
+        ("two-fork", 1, 30, 789, 186),
+        ("two-fork", 6, 60, 364, 265),
+        ("chain:3", 10, 60, 70, 59),
+        # 29 elements; without pruning the full-set search alone passes 400,000 nodes,
         # and radius 2 (the undirected diameter) instead of the closure's 1 takes
-        # 19,576
-        ("chain:3", 6, 60, 4162, 2385),
+        # 17,253
+        ("chain:3", 6, 60, 1496, 1940),
         # forest families keep every chosen element, so only the branching rule and
         # the dropping of blocked elements move this count
-        ("forest", 1, 16, 2068, 2056),
+        ("forest", 1, 16, 2068, 2008),
     ],
     ids=["two-fork-1-30", "two-fork-6-60", "chain3-10-60", "chain3-6-60", "forest-1-16"],
 )
@@ -438,9 +438,9 @@ def unpack(P, r):
 @pytest.mark.parametrize(
     "name, d, t, digest",
     [
-        ("two-fork", 1, 30, "1d042df7c125ac2d03b120b65c603e714e45a0c25ff59d7b2ce33ea25345ac5b"),
-        ("two-fork", 6, 60, "7988cc97508d6bfcf5d42e6bf5ac83db46e29919081f7b9f6084c333bc3fcdcb"),
-        ("chain:3", 10, 60, "619c5c3640cbc44d80902f1924392e5f5dcb4f4a728664d659f0b593bbe88caa"),
+        ("two-fork", 1, 30, "948aed8820eab40aac6cb99be78f5ffc24210bc1124d18f8f80f80be5d6dd657"),
+        ("two-fork", 6, 60, "30c9f5eb12c40394be3f3a8088f4575adaa6b86e2a33ebeff0fb967dab85d80d"),
+        ("chain:3", 10, 60, "87ba0c912b3461c65ccadd7c79c7d95802d5a84079547cf89ed6374d85d34419"),
     ],
     ids=["two-fork-1-30", "two-fork-6-60", "chain3-10-60"],
 )
@@ -684,9 +684,11 @@ def test_near_keeps_every_chosen_element_at_radius_zero():
 @pytest.mark.parametrize("name", ["two-fork", "r-fork:3", "in-fork:2", "chain:2", "chain:3", "forest"])
 def test_state_value_matches_brute_force(name):
     # a state's size polynomial counts the sets A of its undecided elements with
-    # chosen + A admissible; chosen often blocks several undecided elements, which
-    # the search drops before it branches. The reference enumerates A with the
-    # predicates of tests/independent.py on the whole chosen set
+    # chosen + A admissible. value() takes a state whose undecided elements are
+    # each admissible with chosen, as the search drops the blocked ones before it
+    # keys a state; they are in no A, so the smaller state has the same polynomial.
+    # The reference enumerates A over every undecided element with the predicates
+    # of tests/independent.py on the whole chosen set
     fam = builtin_family(name)
     rng = random.Random(f"states of {name}")
     several = 0
@@ -705,14 +707,43 @@ def test_state_value_matches_brute_force(name):
         ]
         while hist[-1] == 0:
             hist.pop()
-        several += sum(not independent.admissible([*chosen_values, v], fam) for v in rest_values) >= 2
+        free = [v for v in rest_values if independent.admissible([*chosen_values, v], fam)]
+        several += len(rest_values) - len(free) >= 2
         clear_caches()
         search = solver._Search(fam, pool, 10**6, "state test")
-        rest = sum(1 << pool.index(v) for v in rest_values)
+        rest = sum(1 << pool.index(v) for v in free)
         chosen = sum(1 << pool.index(v) for v in chosen_values)
         P = search.value(rest, search._near(rest, chosen))
-        assert solver._unpack(P, solver._width(len(rest_values))) == tuple(hist), (pool, chosen_values, rest_values)
+        assert solver._unpack(P, solver._width(len(free))) == tuple(hist), (pool, chosen_values, rest_values)
     assert several >= 5, several
+    clear_caches()
+
+
+@pytest.mark.parametrize(
+    "name, blocks",
+    [
+        ("two-fork", [(1, 24), (6, 60)]),
+        ("chain:3", [(1, 30), (10, 60)]),
+        ("in-fork:2", [(6, 60), (10, 60)]),
+        ("forest", [(1, 16)]),
+    ],
+    ids=["two-fork", "chain3", "in-fork2", "forest"],
+)
+def test_memo_keys_hold_no_blocked_element(name, blocks):
+    # an include drops what its new chosen element blocks before the child is
+    # keyed, testing only what a copy through that element can reach and taking
+    # every other verdict from the parent; a verdict seeded wrongly keys a state
+    # with a blocked undecided element. The decoded values are checked with the
+    # predicates of tests/independent.py
+    fam = builtin_family(name)
+    clear_caches()
+    for d, t in blocks:
+        solve_block(canonical_key(rooted_component(d, t)), fam, COUNTING)
+    states = list(map(decode, solver._MEMO[fam.family_hash]))
+    assert sum(len(chosen) >= 2 for _, chosen in states) >= 20
+    for rest, chosen in states:
+        for u in rest:
+            assert independent.admissible([*chosen, u], fam), (rest, chosen, u)
     clear_caches()
 
 
