@@ -210,8 +210,22 @@ class _Search(Checker):
     no set below the state. No state the search keys has one: a node branches on
     an element x, and before its include child is keyed, the undecided elements
     that chosen + x blocks are found (_blocked) and dropped, and the smaller state
-    is valued through value(). With nothing chosen, x itself is tested, as a
-    pattern of one vertex blocks every element.
+    is valued through value(). A pattern of one vertex blocks every element, so in
+    a family with one a state with nothing chosen tests x itself; no other family
+    makes that test.
+
+    Dually, an undecided element is free when it lies in no forbidden copy within
+    its component, undecided and chosen elements together. Admissibility is
+    hereditary, so a free element joins every set below the state, and the
+    component's polynomial is (1 + x)**f times that of the component without its
+    f free elements. value() finds them before a component is keyed, among
+    candidates its caller names, and values the smaller state instead. At radius
+    1 every copy through u lies in u's closed neighbourhood, so the candidates are
+    exact: every element at the top of a search, x's neighbours in the exclude
+    child, the neighbours of the dropped blocked elements in that include child,
+    and none in the derived include child, whose elements are unchanged. Other
+    families skip the pass (factors), and so do families with a pattern of one
+    or two vertices, where no element of a component of two or more is free.
 
     A new forbidden copy holds an undecided element x and is connected, so it lies
     within radius steps of x: the largest Pattern.diameter, taken on the pattern's
@@ -227,7 +241,7 @@ class _Search(Checker):
     Keys are per family, shared by every mode, and the memo is insert-only.
     """
 
-    __slots__ = ("memo", "nodes_left", "limit", "label", "elements", "radius", "verdicts", "known")
+    __slots__ = ("memo", "nodes_left", "limit", "label", "elements", "radius", "factors", "lone", "verdicts", "known")
 
     def __init__(self, family: AdmissibleFamily, elements: tuple[int, ...], node_limit: int, label: str):
         super().__init__(elements, family)
@@ -239,6 +253,12 @@ class _Search(Checker):
         # 0 turns pruning off; at least 1 keeps an included element that has an
         # undecided neighbour, so the include branch's derived key stays pruned
         self.radius = 0 if family.forbid_cycles else max([1] + [p.diameter for p in family.patterns])
+        # free elements are factored out at radius 1, where the candidates are
+        # exact, unless a pattern has one or two vertices: it is matched by every
+        # element or every comparable pair, so no component of two or more has one
+        self.factors = self.radius == 1 and all(p.vertex_count > 2 for p in family.patterns)
+        # only a pattern of one vertex blocks an element with nothing chosen
+        self.lone = any(p.vertex_count == 1 for p in family.patterns)
         # chosen mask -> (its neighbourhood, undecided elements that pass against it,
         # those it blocks), for the search
         self.verdicts: dict[int, tuple[int, int, int]] = {}
@@ -278,11 +298,21 @@ class _Search(Checker):
                 break
         return chosen ^ far
 
-    def value(self, rest: int, chosen: int) -> int:
+    def solve(self, rest: int) -> int:
+        """The value of the set rest with nothing chosen, every element a candidate."""
+        return self.value(rest, 0, rest if self.factors else 0)
+
+    def value(self, rest: int, chosen: int, cand: int = 0) -> int:
         """Product over the divisor-graph components of rest+chosen, where chosen is
         already pruned to the elements near rest and, unless empty, blocks no
         element of rest, packed at the width of rest's size. Admissibility factors
-        over the components because every forbidden structure is connected."""
+        over the components because every forbidden structure is connected.
+
+        cand holds the elements of rest to test for being free, that is in no
+        forbidden copy within their component. A component's free elements join
+        every set below it, so its value is (1 + x)**f times that of the component
+        without its f free elements; an element left untested is searched, and
+        the value is the same either way."""
         total = 1
         r = rest.bit_count()
         adj = self.adj
@@ -303,17 +333,42 @@ class _Search(Checker):
             if not comp_rest:
                 continue
             comp_chosen = comp & chosen
+            comp_r = comp_rest.bit_count()
             # the same masks are the same component, keyed once per search
             val = known.get((comp_rest, comp_chosen))
             if val is None:
-                val = known[comp_rest, comp_chosen] = self._component(comp_rest, comp_chosen)
+                test = cand & comp_rest
+                free = self._free(comp, test) if test else 0
+                if free:
+                    # no copy holds a free element, so removing one breaks no copy
+                    # and turns no other element free: one pass is enough
+                    less = comp_rest ^ free
+                    val = self.value(less, self._near(less, comp_chosen))
+                    w = _width(comp_r)
+                    less_r = less.bit_count()
+                    if less_r >> 5 != comp_r >> 5:
+                        val = _repack(val, _width(less_r), w)
+                    for _ in range(free.bit_count()):
+                        val += val << w
+                else:
+                    val = self._component(comp_rest, comp_chosen)
+                known[comp_rest, comp_chosen] = val
             # a component's value is packed at the width of its own size, which can
             # be narrower than the product's: _width changes with r // 32
-            comp_r = comp_rest.bit_count()
             if comp_r >> 5 != r >> 5:
                 val = _repack(val, _width(comp_r), _width(r))
             total = val if total == 1 else total * val
         return total
+
+    def _free(self, comp: int, cand: int) -> int:
+        """The elements of cand in no forbidden copy within the component comp."""
+        free = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if is_admissible_with(self, comp ^ low, low.bit_length() - 1):
+                free |= low
+        return free
 
     def _component(self, rest: int, chosen: int) -> int:
         """The value of one divisor-graph component, from the memo or searched."""
@@ -377,11 +432,13 @@ class _Search(Checker):
             recheck = not adj[y.bit_length() - 1] & rest2
         # both branches are packed at the width of r - 1
         widen = r % 32 == 0
-        without = self.value(rest2, self._near(rest2, chosen) if recheck else chosen)
+        # only elements in a copy with x can turn free without it
+        cand = adj[x] if self.factors else 0
+        without = self.value(rest2, self._near(rest2, chosen) if recheck else chosen, cand)
         if widen:
             without = _repack(without, w - 32, w)
         # a pattern of one vertex blocks every element
-        if not chosen and not is_admissible_with(self, chosen, x):
+        if self.lone and not chosen and not is_admissible_with(self, chosen, x):
             return without
         if not rest2:
             return without + (1 << w)
@@ -411,7 +468,8 @@ class _Search(Checker):
                 # A blocking copy lies within the radius _near keeps, so chosen2
                 # pruned blocks the same elements
                 rest2 ^= blocked
-                with_x = self.value(rest2, self._near(rest2, chosen2))
+                cand = self._union(blocked) if self.factors else 0
+                with_x = self.value(rest2, self._near(rest2, chosen2), cand)
                 w2 = _width(rest2.bit_count())
                 return without + ((with_x if w2 == w else _repack(with_x, w2, w)) << w)
             if child is None:
@@ -480,7 +538,7 @@ def size_polynomial(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int 
     elements = validated_elements(S)
     label = f"{fam.name} on {len(elements)} elements"
     search = _Search(fam, elements, resolve_node_limit(node_limit), label)
-    return _unpack(search.value((1 << len(elements)) - 1, 0), _width(len(elements)))
+    return _unpack(search.solve((1 << len(elements)) - 1), _width(len(elements)))
 
 
 def solve_block(
@@ -520,7 +578,7 @@ def solve_block(
         search = _Search(fam, full, node_limit, f"{fam.name} on {n} elements")
         everything = (1 << n) - 1
         try:
-            packed = search.value(everything, 0), search.value(everything ^ (1 << full.index(key.root_value)), 0)
+            packed = search.solve(everything), search.solve(everything ^ (1 << full.index(key.root_value)))
         except ResourceLimitError as exc:
             raise ResourceLimitError(
                 f"{exc} [component {','.join(map(str, full))} root {key.root_value}]", key=key

@@ -387,17 +387,21 @@ def test_partition_value_is_integer_horner():
     [
         # an include tests the undecided elements a copy through the new element
         # can reach, once per chosen mask, and drops the blocked ones before the
-        # child is keyed, so matcher calls and nodes differ
-        ("two-fork", 1, 30, 789, 186),
-        ("two-fork", 6, 60, 364, 265),
-        ("chain:3", 10, 60, 70, 59),
+        # child is keyed, so matcher calls and nodes differ. No family here has a
+        # pattern of one vertex, so no state with nothing chosen tests its branch
+        # element
+        ("two-fork", 1, 30, 753, 186),
+        ("two-fork", 6, 60, 300, 265),
+        # chain:3 factors its free elements out before a state is keyed; without
+        # that these two take 59 and 1,940 nodes
+        ("chain:3", 10, 60, 73, 10),
         # 29 elements; without pruning the full-set search alone passes 400,000 nodes,
         # and radius 2 (the undirected diameter) instead of the closure's 1 takes
         # 17,253
-        ("chain:3", 6, 60, 1496, 1940),
+        ("chain:3", 6, 60, 635, 147),
         # forest families keep every chosen element, so only the branching rule and
         # the dropping of blocked elements move this count
-        ("forest", 1, 16, 2068, 2008),
+        ("forest", 1, 16, 2057, 2008),
     ],
     ids=["two-fork-1-30", "two-fork-6-60", "chain3-10-60", "chain3-6-60", "forest-1-16"],
 )
@@ -440,7 +444,7 @@ def unpack(P, r):
     [
         ("two-fork", 1, 30, "948aed8820eab40aac6cb99be78f5ffc24210bc1124d18f8f80f80be5d6dd657"),
         ("two-fork", 6, 60, "30c9f5eb12c40394be3f3a8088f4575adaa6b86e2a33ebeff0fb967dab85d80d"),
-        ("chain:3", 10, 60, "87ba0c912b3461c65ccadd7c79c7d95802d5a84079547cf89ed6374d85d34419"),
+        ("chain:3", 10, 60, "5e4aacdbffdcb0014e57390f430b90a395033d963cce8c30b0479e814be0e8fa"),
     ],
     ids=["two-fork-1-30", "two-fork-6-60", "chain3-10-60"],
 )
@@ -564,7 +568,9 @@ CHAIN_THEN_EDGE = family_from_json(
 )
 def test_pruned_search_matches_enumeration(monkeypatch, fam, radius):
     # the search drops chosen elements farther than the largest closure diameter
-    # from every undecided one; the reference enumerates with is_admissible alone
+    # from every undecided one; the reference enumerates with is_admissible alone.
+    # At radius 1 a set that holds no copy has only free elements, so its search
+    # keys nothing and has nothing to prune
     pruned = []
     real = solver._Search._near
 
@@ -590,7 +596,26 @@ def test_pruned_search_matches_enumeration(monkeypatch, fam, radius):
         while hist[-1] == 0:
             hist.pop()
         assert size_polynomial(S, fam) == tuple(hist), S
-        assert any(pruned), S
+        if radius == 1 and is_admissible(S, fam):
+            assert not solver._MEMO[fam.family_hash], S
+        else:
+            assert any(pruned), S
+    clear_caches()
+
+
+def test_free_elements_are_factored_out():
+    # no 3-chain fits in 10..39, as its smallest element would be at most 39 // 4,
+    # so every element is free: the polynomial is (1 + x)**30, with no state keyed
+    fam = builtin_family("chain:3")
+    clear_caches()
+    assert size_polynomial(range(10, 40), fam) == tuple(math.comb(30, k) for k in range(31))
+    assert not solver._MEMO[fam.family_hash]
+    # 1 | 2 | 4 is the only 3-chain here, so the 40 primes are free and only states
+    # of 1, 2 and 4 are keyed; their value 1 + 3x + 3x**2 is widened from 32-bit to
+    # the 43 elements' 64-bit slots before it is multiplied by (1 + x)**40
+    P = size_polynomial([1, 2, 4, *primes_up_to(400)[2:42]], fam)
+    assert P == tuple(sum(math.comb(40, k - j) * a for j, a in enumerate((1, 3, 3)) if k >= j) for k in range(43))
+    assert all(len(decode(key)[0]) <= 3 for key in solver._MEMO[fam.family_hash])
     clear_caches()
 
 
