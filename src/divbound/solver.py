@@ -26,7 +26,7 @@ from .patterns import AdmissibleFamily, Checker, validated_elements
 DEFAULT_NODE_LIMIT = 10**6
 NODE_LIMIT_ENV = "DIVBOUND_NODE_LIMIT"
 
-# component recursions nest two frames per element; default 1000 is too shallow
+# component recursions nest three frames per element; default 1000 is too shallow
 # for the deepest components seen at large budgets
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
@@ -128,8 +128,9 @@ def resolve_node_limit(node_limit: int | None) -> int:
             node_limit = 0
         if node_limit < 1:
             raise ValueError(f"{NODE_LIMIT_ENV} must be a positive integer, got {raw!r}")
-    elif node_limit < 1:
-        raise ValueError(f"node limit must be positive, got {node_limit!r}")
+    elif isinstance(node_limit, bool) or not isinstance(node_limit, int) or node_limit < 1:
+        # a nan limit would never run out, and True is not the limit 1
+        raise ValueError(f"node limit must be a positive integer, got {node_limit!r}")
     return node_limit
 
 
@@ -209,10 +210,10 @@ class _Search(Checker):
     Admissibility is hereditary, so an undecided element that chosen blocks is in
     no set below the state. No state the search keys has one: a node branches on
     an element x, and before its include child is keyed, the undecided elements
-    that chosen + x blocks are found (_blocked) and dropped, and the smaller state
-    is valued through value(). A pattern of one vertex blocks every element, so in
-    a family with one a state with nothing chosen tests x itself; no other family
-    makes that test.
+    that chosen + x blocks are found (_blocked) and dropped. Each child is valued
+    through value(), its chosen part first pruned by _near. A pattern of one
+    vertex lies in every nonempty set, so a family with one is not searched:
+    solve values every set at the polynomial 1.
 
     Dually, an undecided element is free when it lies in no forbidden copy within
     its component, undecided and chosen elements together. Admissibility is
@@ -223,9 +224,10 @@ class _Search(Checker):
     1 every copy through u lies in u's closed neighbourhood, so the candidates are
     exact: every element at the top of a search, x's neighbours in the exclude
     child, the neighbours of the dropped blocked elements in that include child,
-    and none in the derived include child, whose elements are unchanged. Other
-    families skip the pass (factors), and so do families with a pattern of one
-    or two vertices, where no element of a component of two or more is free.
+    and none in an include child that drops nothing, whose elements are
+    unchanged. Other families skip the pass (factors), and so do families with a
+    pattern of one or two vertices, where no element of a component of two or
+    more is free.
 
     A new forbidden copy holds an undecided element x and is connected, so it lies
     within radius steps of x: the largest Pattern.diameter, taken on the pattern's
@@ -250,14 +252,13 @@ class _Search(Checker):
         self.label = label
         self.elements = elements
         self.memo = _MEMO.setdefault(family.family_hash, {})
-        # 0 turns pruning off; at least 1 keeps an included element that has an
-        # undecided neighbour, so the include branch's derived key stays pruned
+        # 0 turns pruning off
         self.radius = 0 if family.forbid_cycles else max([1] + [p.diameter for p in family.patterns])
         # free elements are factored out at radius 1, where the candidates are
         # exact, unless a pattern has one or two vertices: it is matched by every
         # element or every comparable pair, so no component of two or more has one
         self.factors = self.radius == 1 and all(p.vertex_count > 2 for p in family.patterns)
-        # only a pattern of one vertex blocks an element with nothing chosen
+        # a pattern of one vertex leaves nothing to search
         self.lone = any(p.vertex_count == 1 for p in family.patterns)
         # chosen mask -> (its neighbourhood, undecided elements that pass against it,
         # those it blocks), for the search
@@ -300,6 +301,9 @@ class _Search(Checker):
 
     def solve(self, rest: int) -> int:
         """The value of the set rest with nothing chosen, every element a candidate."""
+        if self.lone:
+            # a pattern of one vertex lies in every nonempty set: only the empty one
+            return 1
         return self.value(rest, 0, rest if self.factors else 0)
 
     def value(self, rest: int, chosen: int, cand: int = 0) -> int:
@@ -386,10 +390,10 @@ class _Search(Checker):
             key = tuple(values)
         val = self.memo.get(key)
         if val is None:
-            val = self.memo[key] = self._branch(rest, chosen, key)
+            val = self.memo[key] = self._branch(rest, chosen)
         return val
 
-    def _branch(self, rest: int, chosen: int, key: str | tuple[int, ...]) -> int:
+    def _branch(self, rest: int, chosen: int) -> int:
         self.nodes_left -= 1
         if self.nodes_left < 0:
             raise ResourceLimitError(
@@ -421,63 +425,25 @@ class _Search(Checker):
                 bit = low
         x = bit.bit_length() - 1
         rest2 = rest ^ bit
-        # Every chosen element is near rest. A path that starts at x goes on through a
-        # chosen neighbour y of x; when every such y has a neighbour in rest2, each
-        # path can start there instead, and no chosen element stops being near.
-        touching = adj[x] & chosen if self.radius and rest2 else 0
-        recheck = False
-        while touching and not recheck:
-            y = touching & -touching
-            touching ^= y
-            recheck = not adj[y.bit_length() - 1] & rest2
-        # both branches are packed at the width of r - 1
-        widen = r % 32 == 0
         # only elements in a copy with x can turn free without it
         cand = adj[x] if self.factors else 0
-        without = self.value(rest2, self._near(rest2, chosen) if recheck else chosen, cand)
-        if widen:
+        without = self.value(rest2, self._near(rest2, chosen), cand)
+        # both branches are packed at the width of r
+        if r % 32 == 0:
             without = _repack(without, w - 32, w)
-        # a pattern of one vertex blocks every element
-        if self.lone and not chosen and not is_admissible_with(self, chosen, x):
-            return without
         if not rest2:
             return without + (1 << w)
         chosen2 = chosen | bit
-        # an included x is one step from rest2, or two through a y; one without
-        # chosen neighbours has a neighbour in rest2, as the component is connected
-        if recheck or (self.radius == 1 and chosen & adj[x] and not adj[x] & rest2):
-            kept = self._near(rest2, chosen2)
-        else:
-            kept = chosen2
-        with_x = child = None
-        if kept == chosen2:
-            # including x keeps the union, hence one component with the same gcd: its
-            # key moves x's value from index p, among the undecided values, to index
-            # q, among the chosen ones, which follow the r undecided values and the 0.
-            # A stored value is the child's whatever chosen2 blocks, so it is read
-            # before any element is tested
-            below = bit - 1
-            p = (rest & below).bit_count()
-            q = r + 1 + (chosen & below).bit_count()
-            child = key[:p] + key[p + 1 : q] + key[p : p + 1] + key[q:]
-            with_x = self.memo.get(child)
-        if with_x is None:
-            blocked = self._blocked(rest, chosen, x, entry)
-            if blocked:
-                # the child without its blocked elements, memoized under its own key.
-                # A blocking copy lies within the radius _near keeps, so chosen2
-                # pruned blocks the same elements
-                rest2 ^= blocked
-                cand = self._union(blocked) if self.factors else 0
-                with_x = self.value(rest2, self._near(rest2, chosen2), cand)
-                w2 = _width(rest2.bit_count())
-                return without + ((with_x if w2 == w else _repack(with_x, w2, w)) << w)
-            if child is None:
-                with_x = self.value(rest2, kept)
-            else:
-                with_x = self.memo[child] = self._branch(rest2, chosen2, child)
-        if widen:
-            with_x = _repack(with_x, w - 32, w)
+        # the include child without the elements chosen2 blocks; only their
+        # neighbours can turn free. A blocking copy lies within the radius _near
+        # keeps, so chosen2 pruned blocks the same elements
+        blocked = self._blocked(rest, chosen, x, entry)
+        rest2 ^= blocked
+        cand = self._union(blocked) if self.factors else 0
+        with_x = self.value(rest2, self._near(rest2, chosen2), cand)
+        w2 = _width(rest2.bit_count())
+        if w2 != w:
+            with_x = _repack(with_x, w2, w)
         # P_without(x) + x * P_with(x)
         return without + (with_x << w)
 

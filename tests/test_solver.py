@@ -214,6 +214,30 @@ def test_node_limit_raises_resource_error():
     clear_caches()
 
 
+@pytest.mark.parametrize("limit", [True, 2.5, float("nan"), float("inf")], ids=["true", "2.5", "nan", "inf"])
+def test_node_limit_must_be_a_positive_int(limit):
+    # a nan budget never runs out (nan - 1 < 0 is false), and True is not 1
+    with pytest.raises(ValueError):
+        solver.resolve_node_limit(limit)
+    clear_caches()
+    with pytest.raises(ValueError):
+        size_polynomial(range(1, 25), TWO_FORK, node_limit=limit)
+    assert not solver._MEMO.get(TWO_FORK.family_hash)
+    clear_caches()
+
+
+def test_one_vertex_pattern_admits_only_the_empty_set():
+    # the pattern lies in every nonempty set, so the search answers before any node
+    single = family_from_json({"patterns": [{"vertices": 1, "edges": []}]})
+    clear_caches()
+    assert size_polynomial(range(1, 30), single) == (1,)
+    key = canonical_key(rooted_component(1, 30))
+    for mode in (DENSITY, COUNTING, partition_mode(2)):
+        assert local_increment(solve_block(key, single, mode), mode) == 0
+    assert not solver._MEMO.get(single.family_hash)
+    clear_caches()
+
+
 def test_large_block_solves_within_ten_thousand_nodes():
     # branching on the most constrained element solves {1..60} in 7,470 nodes;
     # branching on the most comparable one gives the same count after 398,574
@@ -387,23 +411,25 @@ def test_partition_value_is_integer_horner():
     [
         # an include tests the undecided elements a copy through the new element
         # can reach, once per chosen mask, and drops the blocked ones before the
-        # child is keyed, so matcher calls and nodes differ. No family here has a
-        # pattern of one vertex, so no state with nothing chosen tests its branch
-        # element
-        ("two-fork", 1, 30, 753, 186),
-        ("two-fork", 6, 60, 300, 265),
+        # child is keyed, so matcher calls and nodes differ
+        ("two-fork", 1, 30, 754, 186),
+        ("two-fork", 6, 60, 301, 265),
         # chain:3 factors its free elements out before a state is keyed; without
         # that these two take 59 and 1,940 nodes
         ("chain:3", 10, 60, 73, 10),
         # 29 elements; without pruning the full-set search alone passes 400,000 nodes,
         # and radius 2 (the undirected diameter) instead of the closure's 1 takes
         # 17,253
-        ("chain:3", 6, 60, 635, 147),
+        ("chain:3", 6, 60, 634, 147),
         # forest families keep every chosen element, so only the branching rule and
         # the dropping of blocked elements move this count
         ("forest", 1, 16, 2057, 2008),
+        # the forks' placement plans differ from two-fork's, and r-fork:3 takes the
+        # most verdicts from the parent's
+        ("r-fork:3", 1, 30, 6085, 1626),
+        ("in-fork:2", 6, 60, 498, 431),
     ],
-    ids=["two-fork-1-30", "two-fork-6-60", "chain3-10-60", "chain3-6-60", "forest-1-16"],
+    ids=["two-fork-1-30", "two-fork-6-60", "chain3-10-60", "chain3-6-60", "forest-1-16", "r-fork3-1-30", "in-fork2-6-60"],
 )
 def test_search_tree_is_pinned(monkeypatch, name, d, t, calls, nodes):
     # a changed branching rule, component split or pruning changes these counts;
@@ -625,8 +651,8 @@ def test_free_elements_are_factored_out():
     ids=["two-fork", "chain3", "triangle", "mixed-path"],
 )
 def test_memo_keys_hold_only_near_chosen_elements(fam, radius, t):
-    # every memo key, from a split or from the include branch's derived key, keeps
-    # only chosen values within radius steps of an undecided one through chosen ones
+    # every memo key keeps only chosen values within radius steps of an undecided
+    # one through chosen ones
     clear_caches()
     solve_block(canonical_key(rooted_component(1, t)), fam, COUNTING)
     for rest, chosen in map(decode, solver._MEMO[fam.family_hash]):
@@ -750,9 +776,10 @@ def test_state_value_matches_brute_force(name):
         ("two-fork", [(1, 24), (6, 60)]),
         ("chain:3", [(1, 30), (10, 60)]),
         ("in-fork:2", [(6, 60), (10, 60)]),
+        ("r-fork:3", [(1, 30)]),
         ("forest", [(1, 16)]),
     ],
-    ids=["two-fork", "chain3", "in-fork2", "forest"],
+    ids=["two-fork", "chain3", "in-fork2", "r-fork3", "forest"],
 )
 def test_memo_keys_hold_no_blocked_element(name, blocks):
     # an include drops what its new chosen element blocks before the child is
