@@ -65,7 +65,9 @@ def divisor_connected_component(elements: Iterable[int], root: int) -> tuple[int
 
 @dataclass(frozen=True)
 class RootedComponent:
-    """Finite divisor-connected set of positive integers with one distinguished element."""
+    """Finite divisor-connected set of positive integers with one distinguished element.
+    ValueError at construction unless the elements are strictly increasing positive
+    ints and divisor-connected, and the root index is an int in range."""
 
     elements: tuple[int, ...]
     root_index: int
@@ -74,6 +76,9 @@ class RootedComponent:
         elems = self.elements
         if not elems:
             raise ValueError("a rooted component needs at least one element")
+        # bool is a subclass of int, but True is neither the element nor the index 1
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (*elems, self.root_index)):
+            raise ValueError(f"elements and root index must be ints, got {elems!r} and {self.root_index!r}")
         if elems[0] < 1 or any(b <= a for a, b in zip(elems, elems[1:])):
             raise ValueError("elements must be strictly increasing positive integers")
         if not 0 <= self.root_index < len(elems):

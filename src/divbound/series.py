@@ -40,6 +40,10 @@ class TruncationParams:
     budget_B: float = 1e8
 
     def __post_init__(self) -> None:
+        for name, v in (("alpha", self.alpha), ("budget", self.budget_B)):
+            # True is not the number 1
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{name} must be an int or a float, got {v!r}")
         if not 1 <= self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and at least 1, got {self.alpha!r}")
         if not 1 <= self.budget_B < math.inf:
@@ -226,16 +230,10 @@ class BlockCache:
             _warn("cannot append to cache file %s (%s); continuing in memory", self.path, exc)
             self.path = None
 
-    def lookup_or_solve(
-        self,
-        key: CanonicalKey,
-        fam,
-        mode: Mode,
-        *,
-        node_limit: int | None = None,
-    ) -> BlockRecord:
+    def lookup_or_solve(self, key: CanonicalKey, fam, mode: Mode) -> BlockRecord:
         """The record of key, from memory, from a loaded line, or solved and appended.
-        A miss passes the key to solve_block as it is."""
+        A miss passes the key to solve_block as it is, whose search reads the node
+        budget from DIVBOUND_NODE_LIMIT."""
         map_key = (fam.family_hash, mode.tag, key)
         rec = self._records.get(map_key)
         if rec is None and self._lines:
@@ -243,7 +241,7 @@ class BlockCache:
         if rec is not None:
             self.hits += 1
             return rec
-        rec = self._records[map_key] = solve_block(key, fam, mode, node_limit=node_limit)
+        rec = self._records[map_key] = solve_block(key, fam, mode)
         self.misses += 1
         self._append(fam.family_hash, mode.tag, rec)
         return rec
@@ -274,14 +272,7 @@ def _pair_segments(i: int, d: int) -> tuple[tuple[int, int, CanonicalKey], ...]:
     return tuple((s, e, canonical_key(c)) for s, e, c in zip(starts, ends, comps))
 
 
-def evaluate(
-    fam,
-    mode: Mode,
-    params: TruncationParams,
-    cache: BlockCache | None = None,
-    *,
-    node_limit: int | None = None,
-) -> SeriesEstimate:
+def evaluate(fam, mode: Mode, params: TruncationParams, cache: BlockCache | None = None) -> SeriesEstimate:
     """Evaluate the truncated series and return the certified interval.
 
     The partial sum S is a lower bound for the full series value; the upper bound
@@ -289,10 +280,11 @@ def evaluate(
     Segments come from _pair_segments; each pair's contribution is summed over its
     segments, and the sums over pairs of contributions and of weights are
     correctly rounded (math.fsum), so they do not depend on the order of pairs.
-    The node limit is resolved before the first lookup, so a malformed
-    DIVBOUND_NODE_LIMIT fails even when every block comes from the cache.
+    DIVBOUND_NODE_LIMIT is checked before the first lookup, so a malformed value
+    fails even when every block comes from the cache; each search reads it again
+    when it starts.
     """
-    node_limit = resolve_node_limit(node_limit)
+    resolve_node_limit()
     if cache is None:
         cache = BlockCache(None)
     seen: set[CanonicalKey] = set()
@@ -305,7 +297,7 @@ def evaluate(
         segs = _pair_segments(i, d)
         acc = 0.0
         for start, end, key in segs:
-            rec = cache.lookup_or_solve(key, fam, mode, node_limit=node_limit)
+            rec = cache.lookup_or_solve(key, fam, mode)
             seen.add(key)
             inc = local_increment(rec, mode)
             if inc:
@@ -345,22 +337,18 @@ def evaluate(
 
 
 def collect_blocks(
-    fam,
-    mode: Mode,
-    params: TruncationParams,
-    cache: BlockCache | None = None,
-    *,
-    node_limit: int | None = None,
+    fam, mode: Mode, params: TruncationParams, cache: BlockCache | None = None
 ) -> list[tuple[CanonicalKey, float, int | float]]:
-    """Per-block aggregate weight and increment, heaviest block first."""
-    node_limit = resolve_node_limit(node_limit)
+    """Per-block aggregate weight and increment, heaviest block first.
+    DIVBOUND_NODE_LIMIT is checked before the first lookup, as in evaluate."""
+    resolve_node_limit()
     if cache is None:
         cache = BlockCache(None)
     weights: dict[CanonicalKey, float] = {}
     increments: dict[CanonicalKey, int | float] = {}
     for i, d in retained_pairs(params):
         for start, end, key in _pair_segments(i, d):
-            rec = cache.lookup_or_solve(key, fam, mode, node_limit=node_limit)
+            rec = cache.lookup_or_solve(key, fam, mode)
             mass = euler_factor(i) * ((end + 1 - start) / (start * (end + 1)))
             weights[key] = weights.get(key, 0.0) + mass
             increments.setdefault(key, local_increment(rec, mode))

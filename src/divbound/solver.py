@@ -117,21 +117,18 @@ class BlockRecord:
     partition_deleted: Fraction | None = None
 
 
-def resolve_node_limit(node_limit: int | None) -> int:
-    """The given node limit, or DIVBOUND_NODE_LIMIT, or the default; ValueError when
-    the result is not a positive integer."""
-    if node_limit is None:
-        raw = os.environ.get(NODE_LIMIT_ENV)
-        try:
-            node_limit = int(raw) if raw else DEFAULT_NODE_LIMIT
-        except ValueError:
-            node_limit = 0
-        if node_limit < 1:
-            raise ValueError(f"{NODE_LIMIT_ENV} must be a positive integer, got {raw!r}")
-    elif isinstance(node_limit, bool) or not isinstance(node_limit, int) or node_limit < 1:
-        # a nan limit would never run out, and True is not the limit 1
-        raise ValueError(f"node limit must be a positive integer, got {node_limit!r}")
-    return node_limit
+def resolve_node_limit() -> int:
+    """The search-node budget per block: DIVBOUND_NODE_LIMIT, or the default when it
+    is unset or empty; ValueError unless it is a positive integer. Read afresh each
+    time, so each search takes the value set when it starts."""
+    raw = os.environ.get(NODE_LIMIT_ENV)
+    try:
+        limit = int(raw) if raw else DEFAULT_NODE_LIMIT
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"{NODE_LIMIT_ENV} must be a positive integer, got {raw!r}")
+    return limit
 
 
 _MEMO: dict[str, dict] = {}
@@ -245,11 +242,10 @@ class _Search(Checker):
 
     __slots__ = ("memo", "nodes_left", "limit", "label", "elements", "radius", "factors", "lone", "verdicts", "known")
 
-    def __init__(self, family: AdmissibleFamily, elements: tuple[int, ...], node_limit: int, label: str):
+    def __init__(self, family: AdmissibleFamily, elements: tuple[int, ...]):
         super().__init__(elements, family)
-        self.limit = node_limit
-        self.nodes_left = node_limit
-        self.label = label
+        self.limit = self.nodes_left = resolve_node_limit()
+        self.label = f"{family.name} on {len(elements)} elements"
         self.elements = elements
         self.memo = _MEMO.setdefault(family.family_hash, {})
         # 0 turns pruning off
@@ -497,23 +493,17 @@ class _Search(Checker):
         return blocked & rest2
 
 
-def size_polynomial(S: Iterable[int], fam: AdmissibleFamily, *, node_limit: int | None = None) -> tuple[int, ...]:
+def size_polynomial(S: Iterable[int], fam: AdmissibleFamily) -> tuple[int, ...]:
     """Exact coefficients (a_0, ..., a_m) of P(x) = sum of a_k x**k, where a_k counts the
     admissible k-subsets of S; a_0 = 1 (the empty set) and a_m > 0 (m is the largest size).
+    The search runs under the node budget resolve_node_limit reads when it starts.
     """
     elements = validated_elements(S)
-    label = f"{fam.name} on {len(elements)} elements"
-    search = _Search(fam, elements, resolve_node_limit(node_limit), label)
+    search = _Search(fam, elements)
     return _unpack(search.solve((1 << len(elements)) - 1), _width(len(elements)))
 
 
-def solve_block(
-    key: CanonicalKey,
-    fam: AdmissibleFamily,
-    mode: Mode,
-    *,
-    node_limit: int | None = None,
-) -> BlockRecord:
+def solve_block(key: CanonicalKey, fam: AdmissibleFamily, mode: Mode) -> BlockRecord:
     """Solve one block given by its canonical key, returning the mode's value pair.
 
     The key's normalized elements are searched with the root at its root value, so
@@ -526,10 +516,11 @@ def solve_block(
     searched: ValueError unless its elements are distinct positive ints in
     increasing order with gcd 1 and the root is among them. They need not be
     divisor-connected, as the root's increment in a set equals its increment in the
-    root's component. Resource errors are re-raised with the key attached, and a
-    failed search keeps nothing.
+    root's component. The node budget is DIVBOUND_NODE_LIMIT, read by
+    resolve_node_limit when the search starts; a solve read off a stored pair reads
+    it not at all. Resource errors are re-raised with the key attached, and a failed
+    search keeps nothing.
     """
-    node_limit = resolve_node_limit(node_limit)
     full = key.normalized_elements
     n = len(full)
     pairs = _PAIRS.setdefault(fam.family_hash, {})
@@ -541,7 +532,7 @@ def solve_block(
     if packed is None:
         if full != validated_elements(full) or math.gcd(*full) != 1 or key.root_value not in full:
             raise ValueError(f"not a canonical key: {key}")
-        search = _Search(fam, full, node_limit, f"{fam.name} on {n} elements")
+        search = _Search(fam, full)
         everything = (1 << n) - 1
         try:
             packed = search.solve(everything), search.solve(everything ^ (1 << full.index(key.root_value)))

@@ -95,12 +95,11 @@ def test_criterion_2_density_lower_bound(density_run_1e8):
     os.environ.get("DIVBOUND_LONG_TESTS") != "1",
     reason="full-scale run, set DIVBOUND_LONG_TESTS=1 to enable",
 )
-def test_criterion_2_density_lower_bound_full_scale():
+def test_criterion_2_density_lower_bound_full_scale(monkeypatch):
     # the widest block at this budget has 410 elements and needs far more than
     # the default per-block search budget; needs tens of GB of memory and hours
-    est = evaluate(
-        TWO_FORK, DENSITY, TruncationParams(10.0, 1e13), node_limit=10**9
-    )
+    monkeypatch.setenv("DIVBOUND_NODE_LIMIT", str(10**9))
+    est = evaluate(TWO_FORK, DENSITY, TruncationParams(10.0, 1e13))
     ok = est.lower >= 0.6729
     _report(
         "criterion 2 (long) density lower bound at budget 1e13",

@@ -133,6 +133,16 @@ def test_rooted_component_validates():
         RootedComponent((2, 4), 5)
 
 
+@pytest.mark.parametrize(
+    "elements, root_index",
+    [((1, 2), True), ((1, 2), 1.0), ((1.0, 2.0), 0), ((1, 2.0), 0), ((True, 2), 0)],
+)
+def test_rooted_component_rejects_non_int_parts(elements, root_index):
+    # True is neither the element nor the index 1, and a float is neither
+    with pytest.raises(ValueError):
+        RootedComponent(elements, root_index)
+
+
 def test_rooted_component_skips_connectivity_recheck(monkeypatch):
     calls = []
     real = numtheory.divisor_connected_component

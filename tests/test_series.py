@@ -49,6 +49,16 @@ def test_truncation_params_validation():
             TruncationParams(10.0, bad)
 
 
+@pytest.mark.parametrize(
+    "alpha, budget",
+    [(True, True), (True, 100.0), (10.0, True), ("10", 100.0), (10.0, Fraction(100)), (None, 100.0)],
+)
+def test_truncation_params_reject_non_numbers(alpha, budget):
+    # True is not the number 1, and a value of another type is no parameter
+    with pytest.raises(ValueError):
+        TruncationParams(alpha, budget)
+
+
 def test_d_limit_exact_at_integer_alpha():
     p = TruncationParams(10.0, 1e10)
     # d * i^10 <= B, exact integer thresholds
@@ -258,11 +268,12 @@ def test_evaluate_matches_exact_reference():
         assert est.terms == len(triples)
 
 
-def test_evaluate_aborts_on_resource_error():
+def test_evaluate_aborts_on_resource_error(monkeypatch):
     # the largest search at 1e6 takes 3 nodes
+    monkeypatch.setenv("DIVBOUND_NODE_LIMIT", "2")
     clear_caches()
     with pytest.raises(ResourceLimitError):
-        evaluate(TWO_FORK, COUNTING, TruncationParams(10.0, 1e6), node_limit=2)
+        evaluate(TWO_FORK, COUNTING, TruncationParams(10.0, 1e6))
     clear_caches()
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -207,23 +208,31 @@ def test_dilation_invariance_of_increments():
     clear_caches()
 
 
-def test_node_limit_raises_resource_error():
+def test_node_limit_raises_resource_error(monkeypatch):
+    monkeypatch.setenv("DIVBOUND_NODE_LIMIT", "5")
     clear_caches()
     with pytest.raises(ResourceLimitError):
-        size_polynomial(range(1, 25), TWO_FORK, node_limit=5)
+        size_polynomial(range(1, 25), TWO_FORK)
     clear_caches()
 
 
-@pytest.mark.parametrize("limit", [True, 2.5, float("nan"), float("inf")], ids=["true", "2.5", "nan", "inf"])
-def test_node_limit_must_be_a_positive_int(limit):
-    # a nan budget never runs out (nan - 1 < 0 is false), and True is not 1
-    with pytest.raises(ValueError):
-        solver.resolve_node_limit(limit)
+@pytest.mark.parametrize("raw", ["abc", "1e6", "0", "-3", "2.5", "nan", "inf", "True"])
+def test_node_limit_env_must_be_a_positive_integer(monkeypatch, raw):
+    # only a positive integer is a budget: a nan or inf one would never run out
+    monkeypatch.setenv("DIVBOUND_NODE_LIMIT", raw)
+    with pytest.raises(ValueError, match=re.escape(f"DIVBOUND_NODE_LIMIT must be a positive integer, got {raw!r}")):
+        solver.resolve_node_limit()
     clear_caches()
-    with pytest.raises(ValueError):
-        size_polynomial(range(1, 25), TWO_FORK, node_limit=limit)
+    with pytest.raises(ValueError, match="DIVBOUND_NODE_LIMIT"):
+        size_polynomial(range(1, 25), TWO_FORK)
     assert not solver._MEMO.get(TWO_FORK.family_hash)
     clear_caches()
+
+
+def test_node_limit_env_unset_or_empty_is_the_default(monkeypatch):
+    assert solver.resolve_node_limit() == solver.DEFAULT_NODE_LIMIT
+    monkeypatch.setenv("DIVBOUND_NODE_LIMIT", "")
+    assert solver.resolve_node_limit() == solver.DEFAULT_NODE_LIMIT
 
 
 def test_one_vertex_pattern_admits_only_the_empty_set():
@@ -238,19 +247,21 @@ def test_one_vertex_pattern_admits_only_the_empty_set():
     clear_caches()
 
 
-def test_large_block_solves_within_ten_thousand_nodes():
+def test_large_block_solves_within_ten_thousand_nodes(monkeypatch):
     # branching on the most constrained element solves {1..60} in 7,470 nodes;
     # branching on the most comparable one gives the same count after 398,574
+    monkeypatch.setenv("DIVBOUND_NODE_LIMIT", "10000")
     clear_caches()
-    assert COUNTING.value(size_polynomial(range(1, 61), TWO_FORK, node_limit=10_000)) == 271422412615740
+    assert COUNTING.value(size_polynomial(range(1, 61), TWO_FORK)) == 271422412615740
     clear_caches()
 
 
-def test_solve_block_resource_error_names_key():
+def test_solve_block_resource_error_names_key(monkeypatch):
+    monkeypatch.setenv("DIVBOUND_NODE_LIMIT", "2")
     clear_caches()
     comp = rooted_component(1, 16)
     with pytest.raises(ResourceLimitError) as info:
-        solve_block(canonical_key(comp), TWO_FORK, COUNTING, node_limit=2)
+        solve_block(canonical_key(comp), TWO_FORK, COUNTING)
     assert info.value.key is not None
     assert "root 1" in str(info.value)
     clear_caches()
@@ -366,11 +377,14 @@ def test_one_search_serves_every_mode(monkeypatch):
     clear_caches()
 
 
-def test_failed_search_stores_nothing():
+def test_failed_search_stores_nothing(monkeypatch):
     clear_caches()
     comp = rooted_component(1, 16)
+    monkeypatch.setenv("DIVBOUND_NODE_LIMIT", "2")
     with pytest.raises(ResourceLimitError):
-        solve_block(canonical_key(comp), TWO_FORK, COUNTING, node_limit=2)
+        solve_block(canonical_key(comp), TWO_FORK, COUNTING)
+    # each search reads the budget when it starts: this one has the default
+    monkeypatch.delenv("DIVBOUND_NODE_LIMIT")
     rec = solve_block(canonical_key(comp), TWO_FORK, COUNTING)
     deleted = [v for v in comp.elements if v != comp.root]
     assert (rec.count_full, rec.count_deleted) == (
@@ -444,7 +458,8 @@ def test_search_tree_is_pinned(monkeypatch, name, d, t, calls, nodes):
         return real(*args)
 
     monkeypatch.setattr(solver, "is_admissible_with", counting)
-    solve_block(canonical_key(rooted_component(d, t)), fam, COUNTING, node_limit=50_000)
+    monkeypatch.setenv("DIVBOUND_NODE_LIMIT", "50000")
+    solve_block(canonical_key(rooted_component(d, t)), fam, COUNTING)
     assert len(made) == calls
     assert sum(len(memo) for memo in solver._MEMO.values()) == nodes
     clear_caches()
@@ -681,7 +696,7 @@ def test_size_polynomial_beyond_one_word(name, extra):
 def admissible_with(S, x, fam):
     """The search's matcher on the admissible set S and the element x outside it."""
     elements = tuple(sorted({*S, x}))
-    search = solver._Search(fam, elements, 1, "matcher test")
+    search = solver._Search(fam, elements)
     chosen = sum(1 << j for j, v in enumerate(elements) if v != x)
     return solver.is_admissible_with(search, chosen, elements.index(x))
 
@@ -725,11 +740,11 @@ def test_matcher_matches_is_admissible(fam):
 
 def test_near_keeps_every_chosen_element_at_radius_zero():
     # forest families prune nothing, so a chosen element stays however far it is
-    search = solver._Search(FOREST, (1, 2, 3, 4), 1, "near test")
+    search = solver._Search(FOREST, (1, 2, 3, 4))
     assert search.radius == 0
     assert search._near(0b1, 0b110) == 0b110
     # 2 and 9 are not comparable
-    assert solver._Search(FOREST, (2, 3, 4, 9), 1, "near test")._near(0b1, 0b1000) == 0b1000
+    assert solver._Search(FOREST, (2, 3, 4, 9))._near(0b1, 0b1000) == 0b1000
 
 
 @pytest.mark.parametrize("name", ["two-fork", "r-fork:3", "in-fork:2", "chain:2", "chain:3", "forest"])
@@ -761,7 +776,7 @@ def test_state_value_matches_brute_force(name):
         free = [v for v in rest_values if independent.admissible([*chosen_values, v], fam)]
         several += len(rest_values) - len(free) >= 2
         clear_caches()
-        search = solver._Search(fam, pool, 10**6, "state test")
+        search = solver._Search(fam, pool)
         rest = sum(1 << pool.index(v) for v in free)
         chosen = sum(1 << pool.index(v) for v in chosen_values)
         P = search.value(rest, search._near(rest, chosen))
