@@ -66,14 +66,18 @@ def divisor_connected_component(elements: Iterable[int], root: int) -> tuple[int
 @dataclass(frozen=True)
 class RootedComponent:
     """Finite divisor-connected set of positive integers with one distinguished element.
-    ValueError at construction unless the elements are strictly increasing positive
-    ints and divisor-connected, and the root index is an int in range."""
+    ValueError at construction unless the elements are a tuple of strictly
+    increasing positive ints, divisor-connected, and the root index is an int in
+    range."""
 
     elements: tuple[int, ...]
     root_index: int
 
     def __post_init__(self) -> None:
         elems = self.elements
+        # a list would make the frozen instance unhashable and unequal to its tuple twin
+        if not isinstance(elems, tuple):
+            raise ValueError(f"elements must be a tuple, got {type(elems).__name__}")
         if not elems:
             raise ValueError("a rooted component needs at least one element")
         # bool is a subclass of int, but True is neither the element nor the index 1

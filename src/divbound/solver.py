@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,12 +164,27 @@ def _slots(P: int, w: int) -> list[bytes]:
 
 def _unpack(P: int, w: int) -> tuple[int, ...]:
     """The coefficients (a_0, ..., a_m) of a polynomial packed in w-bit slots."""
+    if w == 32:
+        # one call for the common width; "<" fixes the byte order on every machine
+        m = -(-P.bit_length() // 32)
+        return struct.unpack(f"<{m}I", P.to_bytes(4 * m, "little"))
     return tuple(map(int.from_bytes, _slots(P, w), repeat("little")))
 
 
 def _repack(P: int, w: int, wider: int) -> int:
     """The packed polynomial P with its w-bit slots widened to wider bits."""
     return int.from_bytes(bytes((wider - w) // 8).join(_slots(P, w)), "little")
+
+
+def _times_free(P: int, r: int, f: int) -> int:
+    """(1 + x)**f times P, where P is packed at the width of r - f undecided elements
+    and the product at the width of r."""
+    w = _width(r)
+    if (r - f) >> 5 != r >> 5:
+        P = _repack(P, _width(r - f), w)
+    for _ in range(f):
+        P += P << w
+    return P
 
 
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
@@ -219,12 +235,12 @@ class _Search(Checker):
     f free elements. value() finds them before a component is keyed, among
     candidates its caller names, and values the smaller state instead. At radius
     1 every copy through u lies in u's closed neighbourhood, so the candidates are
-    exact: every element at the top of a search, x's neighbours in the exclude
-    child, the neighbours of the dropped blocked elements in that include child,
-    and none in an include child that drops nothing, whose elements are
-    unchanged. Other families skip the pass (factors), and so do families with a
-    pattern of one or two vertices, where no element of a component of two or
-    more is free.
+    exact: every element at the top of a search, the root's neighbours in the set
+    without the root (solve_pair), x's neighbours in the exclude child, the
+    neighbours of the dropped blocked elements in that include child, and none in
+    an include child that drops nothing, whose elements are unchanged. Other
+    families skip the pass (factors), and so do families with a pattern of one or
+    two vertices, where no element of a component of two or more is free.
 
     A new forbidden copy holds an undecided element x and is connected, so it lies
     within radius steps of x: the largest Pattern.diameter, taken on the pattern's
@@ -302,6 +318,27 @@ class _Search(Checker):
             return 1
         return self.value(rest, 0, rest if self.factors else 0)
 
+    def solve_pair(self, root: int) -> tuple[int, int]:
+        """The values of every element and of every element but root, packed at the
+        widths of their sizes, from one free-element pass when the family factors.
+
+        An element free in the whole set is free without the root too, as
+        admissibility is hereditary, and a free root is in no copy, so its removal
+        turns nothing free. A root in a copy can free only its neighbours."""
+        n = len(self.elements)
+        everything = (1 << n) - 1
+        bit = 1 << root
+        if not self.factors:
+            return self.solve(everything), self.solve(everything ^ bit)
+        free = self._free(everything, everything)
+        f = free.bit_count()
+        rest = everything ^ free
+        val = self.value(rest, 0)
+        if free & bit:
+            return _times_free(val, n, f), _times_free(val, n - 1, f - 1)
+        without = self.value(rest ^ bit, 0, self.adj[root] & ~free)
+        return _times_free(val, n, f), _times_free(without, n - 1, f)
+
     def value(self, rest: int, chosen: int, cand: int = 0) -> int:
         """Product over the divisor-graph components of rest+chosen, where chosen is
         already pruned to the elements near rest and, unless empty, blocks no
@@ -343,13 +380,7 @@ class _Search(Checker):
                     # no copy holds a free element, so removing one breaks no copy
                     # and turns no other element free: one pass is enough
                     less = comp_rest ^ free
-                    val = self.value(less, self._near(less, comp_chosen))
-                    w = _width(comp_r)
-                    less_r = less.bit_count()
-                    if less_r >> 5 != comp_r >> 5:
-                        val = _repack(val, _width(less_r), w)
-                    for _ in range(free.bit_count()):
-                        val += val << w
+                    val = _times_free(self.value(less, self._near(less, comp_chosen)), comp_r, free.bit_count())
                 else:
                     val = self._component(comp_rest, comp_chosen)
                 known[comp_rest, comp_chosen] = val
@@ -509,17 +540,18 @@ def solve_block(key: CanonicalKey, fam: AdmissibleFamily, mode: Mode) -> BlockRe
     The key's normalized elements are searched with the root at its root value, so
     every scaled copy of a component, keyed by numtheory.canonical_key, gets one
     record. One search, under one node budget, values both the full set and the set
-    without the root; the second is usually answered from the states the first
-    memoized. The two size polynomials are kept for the process and family, so a
-    later solve of the same key, in any mode, reads its values off them with no
-    search and no nodes; clear_caches drops them. A key is checked when it is first
-    searched: ValueError unless its elements are distinct positive ints in
-    increasing order with gcd 1 and the root is among them. They need not be
-    divisor-connected, as the root's increment in a set equals its increment in the
-    root's component. The node budget is DIVBOUND_NODE_LIMIT, read by
-    resolve_node_limit when the search starts; a solve read off a stored pair reads
-    it not at all. Resource errors are re-raised with the key attached, and a failed
-    search keeps nothing.
+    without the root (_Search.solve_pair); for a family that factors out free
+    elements one pass finds them for both, and the second set tests only the
+    root's neighbours. The two size polynomials are kept for the process and
+    family, so a later solve of the same key, in any mode, reads its values off
+    them with no search and no nodes; clear_caches drops them. A key is checked
+    when it is first searched: ValueError unless its elements are distinct
+    positive ints in increasing order with gcd 1 and the root is among them. They
+    need not be divisor-connected, as the root's increment in a set equals its
+    increment in the root's component. The node budget is DIVBOUND_NODE_LIMIT,
+    read by resolve_node_limit when the search starts; a solve read off a stored
+    pair reads it not at all. Resource errors are re-raised with the key
+    attached, and a failed search keeps nothing.
     """
     full = key.normalized_elements
     n = len(full)
@@ -533,9 +565,8 @@ def solve_block(key: CanonicalKey, fam: AdmissibleFamily, mode: Mode) -> BlockRe
         if full != validated_elements(full) or math.gcd(*full) != 1 or key.root_value not in full:
             raise ValueError(f"not a canonical key: {key}")
         search = _Search(fam, full)
-        everything = (1 << n) - 1
         try:
-            packed = search.solve(everything), search.solve(everything ^ (1 << full.index(key.root_value)))
+            packed = search.solve_pair(full.index(key.root_value))
         except ResourceLimitError as exc:
             raise ResourceLimitError(
                 f"{exc} [component {','.join(map(str, full))} root {key.root_value}]", key=key

@@ -143,6 +143,15 @@ def test_rooted_component_rejects_non_int_parts(elements, root_index):
         RootedComponent(elements, root_index)
 
 
+@pytest.mark.parametrize("elements", [[1, 2], range(1, 3)])
+def test_rooted_component_rejects_non_tuple_elements(elements):
+    # a list-backed instance would construct, then fail hash() and compare unequal
+    # to RootedComponent((1, 2), 0)
+    with pytest.raises(ValueError):
+        RootedComponent(elements, 0)
+    assert hash(RootedComponent((1, 2), 0)) == hash(RootedComponent((1, 2), 0))
+
+
 def test_rooted_component_skips_connectivity_recheck(monkeypatch):
     calls = []
     real = numtheory.divisor_connected_component

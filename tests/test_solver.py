@@ -429,12 +429,14 @@ def test_partition_value_is_integer_horner():
         ("two-fork", 1, 30, 754, 186),
         ("two-fork", 6, 60, 301, 265),
         # chain:3 factors its free elements out before a state is keyed; without
-        # that these two take 59 and 1,940 nodes
-        ("chain:3", 10, 60, 73, 10),
+        # that these two take 59 and 1,940 nodes. One free-element pass serves the
+        # full set and the set without the root, which re-tests only the root's
+        # neighbours: a pass per set makes 73 and 634 calls
+        ("chain:3", 10, 60, 60, 10),
         # 29 elements; without pruning the full-set search alone passes 400,000 nodes,
         # and radius 2 (the undirected diameter) instead of the closure's 1 takes
         # 17,253
-        ("chain:3", 6, 60, 634, 147),
+        ("chain:3", 6, 60, 606, 147),
         # forest families keep every chosen element, so only the branching rule and
         # the dropping of blocked elements move this count
         ("forest", 1, 16, 2057, 2008),
@@ -657,6 +659,71 @@ def test_free_elements_are_factored_out():
     P = size_polynomial([1, 2, 4, *primes_up_to(400)[2:42]], fam)
     assert P == tuple(sum(math.comb(40, k - j) * a for j, a in enumerate((1, 3, 3)) if k >= j) for k in range(43))
     assert all(len(decode(key)[0]) <= 3 for key in solver._MEMO[fam.family_hash])
+    clear_caches()
+
+
+def admissible_histograms(elements, root, fam):
+    """The size histograms of the admissible subsets of elements, and of those
+    without root, for a family whose every pattern has k vertices: a copy's image
+    is k elements, so a set is admissible when each of its k-subsets is, and
+    is_admissible decides the k-subsets. Sets grow in increasing order, so a copy
+    is caught at its largest element."""
+    n = len(elements)
+    (k,) = {p.vertex_count for p in fam.patterns}
+    below = [[] for _ in range(n)]
+    for combo in itertools.combinations(range(n), k):
+        if not is_admissible([elements[i] for i in combo], fam):
+            below[combo[-1]].append(sum(1 << i for i in combo[:-1]))
+    full, deleted = [0] * (n + 1), [0] * (n + 1)
+    r = elements.index(root)
+    stack = [(0, 0, 0)]
+    while stack:
+        S, start, size = stack.pop()
+        full[size] += 1
+        deleted[size] += not S >> r & 1
+        stack += [(S | 1 << j, j + 1, size + 1) for j in range(start, n) if all(g & S != g for g in below[j])]
+    return full, deleted
+
+
+@pytest.mark.parametrize(
+    "fam", [builtin_family("chain:3"), builtin_family("chain:4"), TRIANGLE], ids=["chain3", "chain4", "triangle"]
+)
+def test_block_pairs_match_enumeration_on_factoring_families(fam):
+    # one free-element pass serves a block's full set and its set without the root:
+    # a free root's removal frees nothing, and a root in a copy frees only its
+    # neighbours. Every block of at most 18 elements with t <= 40, all three modes
+    keys = {canonical_key(rooted_component(d, t)) for t in range(1, 41) for d in range(1, t + 1)}
+    keys = [key for key in keys if len(key.normalized_elements) <= 18]
+    assert len(keys) == 55
+    clear_caches()
+    for key in keys:
+        hists = admissible_histograms(key.normalized_elements, key.root_value, fam)
+        for mode in (DENSITY, COUNTING, partition_mode(2)):
+            rec = solve_block(key, fam, mode)
+            want = tuple(mode.value(tuple(h[: max(j for j, a in enumerate(h) if a) + 1])) for h in hists)
+            got = {
+                "density": (rec.size_full, rec.size_deleted),
+                "counting": (rec.count_full, rec.count_deleted),
+                "partition": (rec.partition_full, rec.partition_deleted),
+            }[mode.kind]
+            assert got == want, (key, mode)
+    clear_caches()
+
+
+def test_block_with_a_free_root():
+    # no 3-chain fits in 32..63, so every element is free, the root 32 too: the full
+    # set packs (1 + x)**32 in 64-bit slots, the set without the root (1 + x)**31 in
+    # 32-bit ones, and the root's counting increment is log 2
+    fam = builtin_family("chain:3")
+    key = CanonicalKey(tuple(range(32, 64)), 32)
+    clear_caches()
+    rec = solve_block(key, fam, COUNTING)
+    full = sum(math.comb(32, k) << 64 * k for k in range(33))
+    deleted = sum(math.comb(31, k) << 32 * k for k in range(32))
+    assert solver._PAIRS[fam.family_hash][key] == (full, deleted)
+    assert (rec.count_full, rec.count_deleted) == (2**32, 2**31)
+    assert local_increment(rec, COUNTING) == math.log(2)
+    assert not solver._MEMO[fam.family_hash]
     clear_caches()
 
 
