@@ -252,13 +252,15 @@ class BlockCache:
 
 
 @lru_cache(maxsize=None)
-def _pair_segments(i: int, d: int) -> tuple[tuple[int, int, CanonicalKey], ...]:
-    """The segments of one retained (i, d) pair, in order, as (start, end, key).
+def _pair_segments(i: int, d: int) -> tuple[tuple[float, CanonicalKey], ...]:
+    """The segments of one retained (i, d) pair, in order, as (mass, key).
 
-    Each (start, end, key) covers the maximal t-subrange [start, end] of
-    [i*d, (i+1)*d - 1] on which the rooted component of d in [d, t] is constant,
-    with key its canonical form. A pair's segments depend on (i, d) alone, so each
-    pair is planned once per process and shared by every family, mode and budget.
+    Each segment covers the maximal t-subrange [start, end] of [i*d, (i+1)*d - 1]
+    on which the rooted component of d in [d, t] is constant, with key its
+    canonical form and mass the sum of 1/(t(t+1)) over the subrange, telescoped
+    exactly to (end + 1 - start) / (start * (end + 1)) and rounded once. A pair's
+    segments depend on (i, d) alone, so each pair is planned once per process and
+    shared by every family, mode and budget.
     The component C(d, t) is monotone in t and any change at t puts t itself
     inside the new component, so changes can only happen when t reaches an
     element of the widest component C(d, t_hi); the last segment therefore has
@@ -269,7 +271,7 @@ def _pair_segments(i: int, d: int) -> tuple[tuple[int, int, CanonicalKey], ...]:
     starts = [t_lo] + [v for v in widest.elements if t_lo < v <= t_hi]
     ends = [s - 1 for s in starts[1:]] + [t_hi]
     comps = [rooted_component(d, s) for s in starts[:-1]] + [widest]
-    return tuple((s, e, canonical_key(c)) for s, e, c in zip(starts, ends, comps))
+    return tuple(((e + 1 - s) / (s * (e + 1)), canonical_key(c)) for s, e, c in zip(starts, ends, comps))
 
 
 def evaluate(fam, mode: Mode, params: TruncationParams, cache: BlockCache | None = None) -> SeriesEstimate:
@@ -296,13 +298,12 @@ def evaluate(fam, mode: Mode, params: TruncationParams, cache: BlockCache | None
     for i, d in retained_pairs(params):
         segs = _pair_segments(i, d)
         acc = 0.0
-        for start, end, key in segs:
+        for mass, key in segs:
             rec = cache.lookup_or_solve(key, fam, mode)
             seen.add(key)
             inc = local_increment(rec, mode)
             if inc:
-                # sum of 1/(t(t+1)) over [start, end], telescoped exactly
-                acc += inc * ((end + 1 - start) / (start * (end + 1)))
+                acc += inc * mass
         contrib = acc * euler_factor(i)
         contribs.append(contrib)
         weights.append(block_weight(i, d))
@@ -347,10 +348,9 @@ def collect_blocks(
     weights: dict[CanonicalKey, float] = {}
     increments: dict[CanonicalKey, int | float] = {}
     for i, d in retained_pairs(params):
-        for start, end, key in _pair_segments(i, d):
+        for mass, key in _pair_segments(i, d):
             rec = cache.lookup_or_solve(key, fam, mode)
-            mass = euler_factor(i) * ((end + 1 - start) / (start * (end + 1)))
-            weights[key] = weights.get(key, 0.0) + mass
+            weights[key] = weights.get(key, 0.0) + euler_factor(i) * mass
             increments.setdefault(key, local_increment(rec, mode))
     ranked = sorted(
         weights,

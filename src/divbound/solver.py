@@ -143,8 +143,8 @@ def clear_caches() -> None:
     untouched).
 
     The segment plans of series._pair_segments are kept for the process: a plan
-    depends only on its (i, d) pair, and all of them take about 0.8 MB at
-    budget 1e10 and 5.3 MB at 1e11."""
+    depends only on its (i, d) pair, and all of them take about 0.77 MB at
+    budget 1e10 and 5.2 MB at 1e11."""
     _MEMO.clear()
     _PAIRS.clear()
 
@@ -171,17 +171,20 @@ def _unpack(P: int, w: int) -> tuple[int, ...]:
     return tuple(map(int.from_bytes, _slots(P, w), repeat("little")))
 
 
-def _repack(P: int, w: int, wider: int) -> int:
-    """The packed polynomial P with its w-bit slots widened to wider bits."""
-    return int.from_bytes(bytes((wider - w) // 8).join(_slots(P, w)), "little")
+def _widen(P: int, r: int, r2: int) -> int:
+    """P, packed at the width of r undecided elements, at the width of r2 >= r:
+    P itself when r // 32 == r2 // 32, which gives the same width."""
+    if r >> 5 == r2 >> 5:
+        return P
+    w = _width(r)
+    return int.from_bytes(bytes((_width(r2) - w) // 8).join(_slots(P, w)), "little")
 
 
 def _times_free(P: int, r: int, f: int) -> int:
     """(1 + x)**f times P, where P is packed at the width of r - f undecided elements
     and the product at the width of r."""
+    P = _widen(P, r - f, r)
     w = _width(r)
-    if (r - f) >> 5 != r >> 5:
-        P = _repack(P, _width(r - f), w)
     for _ in range(f):
         P += P << w
     return P
@@ -215,6 +218,7 @@ class _Search(Checker):
     most C(r, k) < 2**w, and so is every coefficient of a sum or product of the
     polynomials of disjoint parts of the state, so integer addition and
     multiplication give the packed sum and product with no carry between slots.
+    A value over fewer elements than its state is brought to its width by _widen.
     The format stays inside this module: _unpack turns a value into its tuple.
 
     A state is a pair of bitmasks over the sorted elements. The search is the
@@ -226,7 +230,7 @@ class _Search(Checker):
     that chosen + x blocks are found (_blocked) and dropped. Each child is valued
     through value(), its chosen part first pruned by _near. A pattern of one
     vertex lies in every nonempty set, so a family with one is not searched:
-    solve values every set at the polynomial 1.
+    solve and solve_pair value every set at the polynomial 1.
 
     Dually, an undecided element is free when it lies in no forbidden copy within
     its component, undecided and chosen elements together. Admissibility is
@@ -244,15 +248,16 @@ class _Search(Checker):
 
     A new forbidden copy holds an undecided element x and is connected, so it lies
     within radius steps of x: the largest Pattern.diameter, taken on the pattern's
-    comparability closure (at least 1; 1 for every chain). A chosen element farther
-    than that from every undecided one, along steps through chosen elements, is in
-    no future copy and is dropped from the state; forest families keep every chosen
-    element, since a cycle has no bounded length. A memo key holds one divisor-graph
-    component of the pruned state: its undecided values, then 0, then its kept
-    chosen values, each divided by the component's gcd (dilation invariance). The
-    key is the str of those code points, or their tuple when a value has no chr; a
-    tuple never equals a str, and every value is at least 1, so 0 separates the two
-    parts and the key is injective.
+    comparability closure (at least 1; 1 for every chain). _near walks those
+    steps through chosen elements: a chosen element beyond radius steps of every
+    undecided one is in no future copy and is dropped from the state, and _blocked
+    tests only the neighbours of x and of the chosen elements within radius - 1
+    steps of it. Forest families, with no bound on a cycle, do neither. A memo key
+    holds one divisor-graph component of the pruned state: its undecided values,
+    then 0, then its kept chosen values, each divided by the component's gcd
+    (dilation invariance). The key is the str of those code points, or their tuple
+    when a value has no chr; a tuple never equals a str, and every value is at
+    least 1, so 0 separates the two parts and the key is injective.
     Keys are per family, shared by every mode, and the memo is insert-only.
     """
 
@@ -288,15 +293,15 @@ class _Search(Checker):
             out |= adj[low.bit_length() - 1]
         return out
 
-    def _near(self, rest: int, chosen: int) -> int:
-        """The chosen elements within radius steps of rest, each step into chosen;
+    def _near(self, start: int, chosen: int, steps: int) -> int:
+        """The chosen elements within steps steps of start, each step into chosen;
         every chosen element at radius 0, the forest families' radius."""
         if not self.radius:
             return chosen
         adj = self.adj
         far = chosen
-        frontier = rest
-        for _ in range(self.radius):
+        frontier = start
+        for _ in range(steps):
             # the far elements one step from the frontier
             step = 0
             scan = far
@@ -320,23 +325,24 @@ class _Search(Checker):
 
     def solve_pair(self, root: int) -> tuple[int, int]:
         """The values of every element and of every element but root, packed at the
-        widths of their sizes, from one free-element pass when the family factors.
+        widths of their sizes, from one free-element pass (none unless the family
+        factors).
 
         An element free in the whole set is free without the root too, as
         admissibility is hereditary, and a free root is in no copy, so its removal
         turns nothing free. A root in a copy can free only its neighbours."""
+        if self.lone:
+            return 1, 1
         n = len(self.elements)
         everything = (1 << n) - 1
         bit = 1 << root
-        if not self.factors:
-            return self.solve(everything), self.solve(everything ^ bit)
-        free = self._free(everything, everything)
+        free = self._free(everything, everything) if self.factors else 0
         f = free.bit_count()
         rest = everything ^ free
         val = self.value(rest, 0)
         if free & bit:
             return _times_free(val, n, f), _times_free(val, n - 1, f - 1)
-        without = self.value(rest ^ bit, 0, self.adj[root] & ~free)
+        without = self.value(rest ^ bit, 0, self.adj[root] & ~free if self.factors else 0)
         return _times_free(val, n, f), _times_free(without, n - 1, f)
 
     def value(self, rest: int, chosen: int, cand: int = 0) -> int:
@@ -380,14 +386,12 @@ class _Search(Checker):
                     # no copy holds a free element, so removing one breaks no copy
                     # and turns no other element free: one pass is enough
                     less = comp_rest ^ free
-                    val = _times_free(self.value(less, self._near(less, comp_chosen)), comp_r, free.bit_count())
+                    val = self.value(less, self._near(less, comp_chosen, self.radius))
+                    val = _times_free(val, comp_r, free.bit_count())
                 else:
                     val = self._component(comp_rest, comp_chosen)
                 known[comp_rest, comp_chosen] = val
-            # a component's value is packed at the width of its own size, which can
-            # be narrower than the product's: _width changes with r // 32
-            if comp_r >> 5 != r >> 5:
-                val = _repack(val, _width(comp_r), _width(r))
+            val = _widen(val, comp_r, r)
             total = val if total == 1 else total * val
         return total
 
@@ -454,10 +458,8 @@ class _Search(Checker):
         rest2 = rest ^ bit
         # only elements in a copy with x can turn free without it
         cand = adj[x] if self.factors else 0
-        without = self.value(rest2, self._near(rest2, chosen), cand)
         # both branches are packed at the width of r
-        if r % 32 == 0:
-            without = _repack(without, w - 32, w)
+        without = _widen(self.value(rest2, self._near(rest2, chosen, self.radius), cand), r - 1, r)
         if not rest2:
             return without + (1 << w)
         chosen2 = chosen | bit
@@ -467,10 +469,7 @@ class _Search(Checker):
         blocked = self._blocked(rest, chosen, x, entry)
         rest2 ^= blocked
         cand = self._union(blocked) if self.factors else 0
-        with_x = self.value(rest2, self._near(rest2, chosen2), cand)
-        w2 = _width(rest2.bit_count())
-        if w2 != w:
-            with_x = _repack(with_x, w2, w)
+        with_x = _widen(self.value(rest2, self._near(rest2, chosen2, self.radius), cand), rest2.bit_count(), r)
         # P_without(x) + x * P_with(x)
         return without + (with_x << w)
 
@@ -483,24 +482,13 @@ class _Search(Checker):
         parent's: what chosen blocks chosen + x blocks, and what passed against
         chosen still passes unless a copy through x reaches it. Such a copy is
         connected and holds x, so the element lies within radius steps of x, each
-        step but the last into chosen; forest families, with no bound on a cycle,
-        test every undecided neighbour of chosen + x."""
+        step but the last into chosen: it neighbours x or a chosen element _near
+        finds within radius - 1 steps of x. Forest families, with no bound on a
+        cycle, test every undecided neighbour of chosen + x."""
         adj = self.adj
         nbhd, passed, blocked = entry
-        if self.radius:
-            reach = adj[x]
-            frontier = reach & chosen
-            far = chosen ^ frontier
-            for _ in range(self.radius - 1):
-                if not frontier:
-                    break
-                step = self._union(frontier)
-                reach |= step
-                frontier = step & far
-                far ^= frontier
-        else:
-            reach = -1
         bit = 1 << x
+        reach = self._union(self._near(bit, chosen, self.radius - 1) | bit) if self.radius else -1
         chosen2 = chosen | bit
         rest2 = rest ^ bit
         inherited = (passed | rest) & ~reach
@@ -540,18 +528,18 @@ def solve_block(key: CanonicalKey, fam: AdmissibleFamily, mode: Mode) -> BlockRe
     The key's normalized elements are searched with the root at its root value, so
     every scaled copy of a component, keyed by numtheory.canonical_key, gets one
     record. One search, under one node budget, values both the full set and the set
-    without the root (_Search.solve_pair); for a family that factors out free
-    elements one pass finds them for both, and the second set tests only the
-    root's neighbours. The two size polynomials are kept for the process and
-    family, so a later solve of the same key, in any mode, reads its values off
-    them with no search and no nodes; clear_caches drops them. A key is checked
-    when it is first searched: ValueError unless its elements are distinct
-    positive ints in increasing order with gcd 1 and the root is among them. They
-    need not be divisor-connected, as the root's increment in a set equals its
-    increment in the root's component. The node budget is DIVBOUND_NODE_LIMIT,
-    read by resolve_node_limit when the search starts; a solve read off a stored
-    pair reads it not at all. Resource errors are re-raised with the key
-    attached, and a failed search keeps nothing.
+    without the root, along one path for every family (_Search.solve_pair); for a
+    family that factors out free elements one pass finds them for both, and the
+    second set tests only the root's neighbours. The two size polynomials are kept
+    for the process and family, so a later solve of the same key, in any mode,
+    reads its values off them with no search and no nodes; clear_caches drops
+    them. A key is checked when it is first searched: ValueError unless its
+    elements are distinct positive ints in increasing order with gcd 1 and the
+    root is among them. They need not be divisor-connected, as the root's
+    increment in a set equals its increment in the root's component. The node
+    budget is DIVBOUND_NODE_LIMIT, read by resolve_node_limit when the search
+    starts; a solve read off a stored pair reads it not at all. Resource errors
+    are re-raised with the key attached, and a failed search keeps nothing.
     """
     full = key.normalized_elements
     n = len(full)

@@ -617,10 +617,13 @@ def test_pruned_search_matches_enumeration(monkeypatch, fam, radius):
     pruned = []
     real = solver._Search._near
 
-    def near(self, rest, chosen):
+    def near(self, start, chosen, steps):
         assert self.radius == radius
-        kept = real(self, rest, chosen)
-        pruned.append(kept != chosen)
+        kept = real(self, start, chosen, steps)
+        # _blocked walks radius - 1 steps from the element it adds; only a walk of
+        # radius steps prunes a state
+        if steps == self.radius:
+            pruned.append(kept != chosen)
         return kept
 
     monkeypatch.setattr(solver._Search, "_near", near)
@@ -727,6 +730,27 @@ def test_block_with_a_free_root():
     clear_caches()
 
 
+def test_widen_is_the_one_width_rule():
+    # a polynomial over r undecided elements widens to the slots of r2 >= r with
+    # the same coefficients, and is returned as it is when the width is the same.
+    # The constant 1 (r = 0) packs to 1 at every width, a small int CPython shares,
+    # so a new width is told by a new value for every r >= 1
+    sizes = (0, 1, 31, 32, 33, 63, 64, 95, 96)
+    for r in sizes:
+        P = 1
+        for _ in range(r):
+            P += P << solver._width(r)
+        for r2 in sizes:
+            if r2 < r:
+                continue
+            wide = solver._widen(P, r, r2)
+            assert solver._unpack(wide, solver._width(r2)) == solver._unpack(P, solver._width(r)), (r, r2)
+            if r >> 5 == r2 >> 5:
+                assert wide is P, (r, r2)
+            else:
+                assert (wide == P) == (r == 0), (r, r2)
+
+
 @pytest.mark.parametrize(
     "fam, radius, t",
     [(TWO_FORK, 2, 30), (builtin_family("chain:3"), 1, 18), (TRIANGLE, 1, 24), (MIXED_PATH, 3, 18)],
@@ -809,9 +833,9 @@ def test_near_keeps_every_chosen_element_at_radius_zero():
     # forest families prune nothing, so a chosen element stays however far it is
     search = solver._Search(FOREST, (1, 2, 3, 4))
     assert search.radius == 0
-    assert search._near(0b1, 0b110) == 0b110
+    assert search._near(0b1, 0b110, search.radius) == 0b110
     # 2 and 9 are not comparable
-    assert solver._Search(FOREST, (2, 3, 4, 9))._near(0b1, 0b1000) == 0b1000
+    assert solver._Search(FOREST, (2, 3, 4, 9))._near(0b1, 0b1000, 0) == 0b1000
 
 
 @pytest.mark.parametrize("name", ["two-fork", "r-fork:3", "in-fork:2", "chain:2", "chain:3", "forest"])
@@ -846,7 +870,7 @@ def test_state_value_matches_brute_force(name):
         search = solver._Search(fam, pool)
         rest = sum(1 << pool.index(v) for v in free)
         chosen = sum(1 << pool.index(v) for v in chosen_values)
-        P = search.value(rest, search._near(rest, chosen))
+        P = search.value(rest, search._near(rest, chosen, search.radius))
         assert solver._unpack(P, solver._width(len(free))) == tuple(hist), (pool, chosen_values, rest_values)
     assert several >= 5, several
     clear_caches()
